@@ -55,6 +55,15 @@ class SmoothApprox:
     def grad_mu(self, x, mu):
         raise NotImplementedError
 
+    def at(self, x):
+        """Partial evaluation at ``x``: ``(mu -> value(x, mu), underlying_value(x))``.
+
+        Subclasses override this to evaluate what depends only on ``x``
+        once, so the exact value and the smoothed value at any number
+        of ``mu`` cost a single pass over ``x``.
+        """
+        return (lambda mu: self.value(x, mu)), self.underlying_value(x)
+
     def branch_distance(self, x, mu):
         """Distance from ``x`` to the nearest non-smooth formula branch.
 
@@ -291,26 +300,35 @@ class _AffineSum(SmoothApprox):
         return mat @ x + off, w, is_huber
 
     def underlying_value(self, x):
-        x = self._check_input(x)
         if self._stack is not None:
-            r, w, _ = self._residuals(x)
-            return float(w @ np.abs(r))
+            return self.at(x)[1]
+        x = self._check_input(x)
         return sum(
             t.weight * t.inner.underlying_value(t.matrix @ x + t.offset) for t in self.terms
         )
 
     def value(self, x, mu):
+        if self._stack is not None:
+            return self.at(x)[0](mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
-        if self._stack is not None:
-            r, w, is_huber = self._residuals(x)
+        return sum(t.weight * t.inner.value(t.matrix @ x + t.offset, mu) for t in self.terms)
+
+    def at(self, x):
+        if self._stack is None:
+            return super().at(x)
+        r, w, is_huber = self._residuals(self._check_input(x))
+        a = np.abs(r)
+
+        def value_at(mu):
+            mu = self._check_mu(mu)
             if is_huber:
-                a = np.abs(r)
                 per = np.where(a <= mu, a * a / (2.0 * mu), a - 0.5 * mu)
             else:
                 per = np.hypot(r, mu) - mu
             return float(w @ per)
-        return sum(t.weight * t.inner.value(t.matrix @ x + t.offset, mu) for t in self.terms)
+
+        return value_at, float(w @ a)
 
     def grad_x(self, x, mu):
         x = self._check_input(x)

@@ -18,12 +18,13 @@ from ._linalg import adaptive_simpson
 from .errors import (
     IllPosedIntervalError,
     InvalidParameterError,
+    NumericalDivergenceError,
     StiffnessError,
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
 from .schedule import ContinuousDriven
-from .solver import run_sgm
+from .solver import _lyapunov, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
 # property; the propagated solution is the 5th-order one.
@@ -80,6 +81,11 @@ def integrate_euler(problem, design, x0, max_steps, **kwargs):
     return run_sgm(problem, design, x0, max_steps, **kwargs)
 
 
+def _sigma_integral(sigma, delta):
+    """I_sigma = (exp(sigma delta) - 1)/sigma, or delta at sigma 0."""
+    return delta if sigma == 0.0 else math.expm1(sigma * delta) / sigma
+
+
 def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
     """Continuous-time Lyapunov certificate.
 
@@ -92,16 +98,17 @@ def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
         raise InvalidParameterError("t must be >= t0")
     mu = float(mu_of_t(t))
     x = np.asarray(x, dtype=float)
-    diff = x - opt
     delta = t - t0
-    weight = math.exp(sigma * delta)
-    integral = delta if sigma == 0.0 else math.expm1(sigma * delta) / sigma
-    gap = (
-        smoothed_value(problem, x, mu)
-        + beta * mu
-        - smoothed_value(problem, opt, mu)
+    return _lyapunov(
+        x,
+        opt,
+        math.exp(sigma * delta),
+        _sigma_integral(sigma, delta),
+        smoothed_value(problem, x, mu),
+        beta,
+        mu,
+        smoothed_value(problem, opt, mu),
     )
-    return 0.5 * weight * float(diff @ diff) + integral * gap
 
 
 def weighted_mu_integral(mu_of_t, sigma, t0, t):
@@ -125,8 +132,7 @@ def bound_continuous(x0_dist_sq, beta, sigma, mu_of_t, t0, t):
     """
     if not (t > t0):
         raise UndefinedBoundError("the continuous bound is defined for t > t0")
-    delta = t - t0
-    integral = delta if sigma == 0.0 else math.expm1(sigma * delta) / sigma
+    integral = _sigma_integral(sigma, t - t0)
     return (0.5 * x0_dist_sq + beta * weighted_mu_integral(mu_of_t, sigma, t0, t)) / integral
 
 
@@ -152,7 +158,9 @@ def integrate_rk45(
 
     Returns the list of ``FlowSample`` at t0 and every accepted step.
     Raises ``IllPosedIntervalError`` if mu(t) <= 0 anywhere it is
-    evaluated and ``StiffnessError`` on step-size underflow.
+    evaluated, ``NumericalDivergenceError`` if a right-hand-side
+    evaluation is not finite, and ``StiffnessError`` on step-size
+    underflow.
     """
     if not (t_end > t0):
         raise InvalidParameterError("t_end must be > t0")
@@ -163,21 +171,40 @@ def integrate_rk45(
     x = np.array(x0, dtype=float).reshape(-1)
     sigma = problem.f.sigma
     beta = problem.beta
-    has_optimum = problem.optimum is not None
+    opt = problem.optimum
+    has_optimum = opt is not None
     if has_optimum:
-        diff0 = x - problem.optimum
+        diff0 = x - opt
         x0_dist_sq = float(diff0 @ diff0)
+        smoothed_at_opt = problem.at(opt)[0]
 
     def rhs(t, y):
         mu = float(mu_of_t(t))
         if not (mu > 0.0):
             raise IllPosedIntervalError(f"mu(t) = {mu} at t = {t}")
-        return -smoothed_grad(problem, y, mu, counter)
+        g = smoothed_grad(problem, y, mu, counter)
+        # Without this check a NaN stage only shrinks h until it underflows.
+        if not np.all(np.isfinite(g)):
+            raise NumericalDivergenceError(
+                len(samples) - 1, f"non-finite right-hand side at t = {t}"
+            )
+        return -g
 
     def sample_at(t, y):
         mu = float(mu_of_t(t))
+        smoothed_at_y, f_true = problem.at(y)
         if has_optimum:
-            lyap = lyapunov_continuous(problem, y, t, t0, sigma, beta, mu_of_t)
+            delta = t - t0
+            lyap = _lyapunov(
+                y,
+                opt,
+                math.exp(sigma * delta),
+                _sigma_integral(sigma, delta),
+                smoothed_at_y(mu),
+                beta,
+                mu,
+                smoothed_at_opt(mu),
+            )
             bnd = (
                 bound_continuous(x0_dist_sq, beta, sigma, mu_of_t, t0, t)
                 if t > t0
@@ -190,7 +217,7 @@ def integrate_rk45(
             t=t,
             x=y.copy(),
             mu=mu,
-            f_true=problem.true_value(y),
+            f_true=f_true,
             lyapunov_v=lyap,
             bound_ct=bnd,
             grad_evals=counter.count,

@@ -153,13 +153,33 @@ class CompositeProblem:
     def beta(self):
         return self.h.params.beta if self.h is not None else 0.0
 
+    def at(self, x):
+        """Partial evaluation at ``x``: ``(mu -> F(x, mu), F(x))``.
+
+        ``f(x)`` and the residuals inside ``h`` are evaluated once, so
+        the exact value and the smoothed value at any number of ``mu``
+        cost a single pass over ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        fx = self.f.value(x)
+        if self.h is None:
+            h_at, exact = None, float(fx)
+        else:
+            h_at, h_exact = self.h.at(x)
+            exact = float(fx + h_exact)
+
+        def smoothed(mu):
+            if not (mu > 0.0):
+                raise InvalidParameterError(f"mu must be > 0, got {mu}")
+            if h_at is None:
+                return float(fx)
+            return float(fx + h_at(mu))
+
+        return smoothed, exact
+
     def true_value(self, x):
         """F(x) with the exact (non-smoothed) h."""
-        x = np.asarray(x, dtype=float)
-        total = self.f.value(x)
-        if self.h is not None:
-            total += self.h.underlying_value(x)
-        return float(total)
+        return self.at(x)[1]
 
     def require_optimum(self):
         if self.optimum is None:
@@ -169,13 +189,7 @@ class CompositeProblem:
 
 def smoothed_value(problem, x, mu):
     """F(x, mu) = f(x) + h_tilde(x, mu)."""
-    if not (mu > 0.0):
-        raise InvalidParameterError(f"mu must be > 0, got {mu}")
-    x = np.asarray(x, dtype=float)
-    total = problem.f.value(x)
-    if problem.h is not None:
-        total += problem.h.value(x, mu)
-    return float(total)
+    return problem.at(x)[0](mu)
 
 
 def smoothed_grad(problem, x, mu, counter=None):

@@ -67,6 +67,16 @@ class Trajectory:
         return self.records[-1]
 
 
+def _lyapunov(x, opt, weight, integral, f_tilde, beta, mu, f_tilde_opt):
+    """weight/2 * ||x - x*||^2 + integral * (F(x, mu) + beta*mu - F(x*, mu)).
+
+    The one formula behind the discrete and the continuous certificate;
+    callers pass the smoothed values they already hold.
+    """
+    diff = x - opt
+    return 0.5 * weight * float(diff @ diff) + integral * (f_tilde + beta * mu - f_tilde_opt)
+
+
 def lyapunov_discrete(problem, state, x):
     """Lyapunov certificate at (state.k, x).
 
@@ -75,13 +85,16 @@ def lyapunov_discrete(problem, state, x):
     """
     opt = problem.require_optimum()
     x = np.asarray(x, dtype=float)
-    diff = x - opt
-    gap = (
-        smoothed_value(problem, x, state.mu)
-        + problem.beta * state.mu
-        - smoothed_value(problem, opt, state.mu)
+    return _lyapunov(
+        x,
+        opt,
+        state.eta_lin,
+        state.sum_eta_s,
+        smoothed_value(problem, x, state.mu),
+        problem.beta,
+        state.mu,
+        smoothed_value(problem, opt, state.mu),
     )
-    return 0.5 * state.eta_lin * float(diff @ diff) + state.sum_eta_s * gap
 
 
 def bound_discrete(state, x0_dist_sq, beta):
@@ -177,20 +190,34 @@ def run_sgm(
     beta = problem.beta
     if counter is None:
         counter = GradEvalCounter()
-    has_optimum = problem.optimum is not None
+    opt = problem.optimum
+    has_optimum = opt is not None
     if has_optimum:
-        diff0 = x - problem.optimum
+        diff0 = x - opt
         x0_dist_sq = float(diff0 @ diff0)
+        smoothed_at_opt = problem.at(opt)[0]
 
     state = initial_state(sched, lipschitz, alpha)
     records = []
     status = STATUS_BUDGET
 
     def emit(k, st, x_now, grad_norm, evals):
-        lyap = lyapunov_discrete(problem, st, x_now) if has_optimum else math.nan
-        bnd = (
-            bound_discrete(st, x0_dist_sq, beta) if has_optimum and k >= 1 else math.nan
-        )
+        smoothed_at_x, f_true = problem.at(x_now)
+        f_tilde = smoothed_at_x(st.mu)
+        if has_optimum:
+            lyap = _lyapunov(
+                x_now,
+                opt,
+                st.eta_lin,
+                st.sum_eta_s,
+                f_tilde,
+                beta,
+                st.mu,
+                smoothed_at_opt(st.mu),
+            )
+            bnd = bound_discrete(st, x0_dist_sq, beta) if k >= 1 else math.nan
+        else:
+            lyap = bnd = math.nan
         records.append(
             IterationRecord(
                 k=k,
@@ -198,8 +225,8 @@ def run_sgm(
                 s=st.s,
                 mu=st.mu,
                 x=x_now.copy(),
-                f_tilde=smoothed_value(problem, x_now, st.mu),
-                f_true=problem.true_value(x_now),
+                f_tilde=f_tilde,
+                f_true=f_true,
                 grad_norm=grad_norm,
                 lyapunov=lyap,
                 bound=bnd,

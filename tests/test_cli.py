@@ -228,3 +228,35 @@ def test_byte_determinism(tmp_path, command, payload, artifact):
         assert run(args) == 0
         hashes.append(file_hash(out / artifact))
     assert hashes[0] == hashes[1]
+
+
+# sha256 of each output for the small configs above. Unlike
+# test_byte_determinism, which compares two runs of the same code, these
+# pin the bytes across commits: an optimisation that reorders a sum or
+# skips a rounding step fails here. A change that moves bytes on purpose
+# updates the values and says why. They assume the matrix products round
+# as in the numpy/BLAS build they were recorded with.
+GOLDEN = {
+    ("sqrt_l2", "solve-sgm"): "4ee052e27678f554f8f6b3c6bf58323213aaf5556dcf0b2bbc7b18c059eef411",
+    ("sqrt_l2", "solve-sgf-euler"): "7e03ab784c3e6c20aa15a11785130c0558952555bcbc5cce5c02448628234c2a",
+    ("sqrt_l2", "solve-sgf-rk45"): "8dce2e806560cb0d429008e9997c9bb45b22afc752ca35064347a8c04c902730",
+    ("sqrt_l2", "compare"): "297a2044f8c6a989b264e81fd9e301fa66363c189cf09c39b5367fbfb02a1f89",
+    ("huber_l2", "solve-sgm"): "cd4e2afcfa189d4788c457e34af202989d14454adc8159b5819b432ab8c3b793",
+    ("huber_l2", "solve-sgf-euler"): "2aff3ea0ad14805ae570095e24f2600e06401ec30658f14b2722a1894fbaeba7",
+    ("huber_l2", "solve-sgf-rk45"): "a8cb6674ffb17316b9ae40d52aea44eedb34685c2223c88b3ac2d4b9c3fc372e",
+    ("huber_l2", "compare"): "378716304a16c65926b8dab05e9dbe4fc2ed1eaf47d221ff727159f359b4c246",
+}
+
+
+@pytest.mark.parametrize("smoothing,command", sorted(GOLDEN))
+def test_golden_output_hash(tmp_path, smoothing, command):
+    payload, artifact = {
+        "solve-sgm": (STRONG, "trajectory.csv"),
+        "solve-sgf-euler": (CONTINUOUS, "flow_euler.csv"),
+        "solve-sgf-rk45": (CONTINUOUS, "flow_rk45.csv"),
+        "compare": (CONTINUOUS, "compare.csv"),
+    }[command]
+    cfg = write_config(tmp_path, dict(payload, smoothing=smoothing))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    assert file_hash(out / artifact) == GOLDEN[(smoothing, command)]

@@ -11,6 +11,7 @@ from smoothflow import (
     GradEvalCounter,
     LinearMu,
     ReciprocalMu,
+    SmoothPart,
     bound_continuous,
     integrate_euler,
     integrate_rk45,
@@ -22,6 +23,7 @@ from smoothflow import (
 from smoothflow.errors import (
     IllPosedIntervalError,
     InvalidParameterError,
+    NumericalDivergenceError,
     StiffnessError,
     UndefinedBoundError,
 )
@@ -188,6 +190,21 @@ class TestRk45IllPosed:
 
         with pytest.raises(StiffnessError):
             integrate_rk45(prob, jumpy_mu, np.array([0.3]), 0.0, 1.0, 1e-16, 1e-30)
+
+    def test_non_finite_rhs_is_divergence(self):
+        # A NaN stage makes every error estimate NaN; without a stage
+        # check the controller would shrink h to the floor and report
+        # StiffnessError, hiding the divergence.
+        f = SmoothPart(
+            value=lambda x: 0.0,
+            grad=lambda x: np.full_like(x, np.nan),
+            sigma=0.0,
+            lipschitz=1.0,
+            input_dim=2,
+        )
+        prob = CompositeProblem(f=f, h=None)
+        with pytest.raises(NumericalDivergenceError):
+            integrate_rk45(prob, ConstantMu(1.0), np.ones(2), 0.0, 1.0, 1e-6, 1e-9)
 
 
 class TestContinuousLyapunov:

@@ -1,0 +1,120 @@
+"""Property tests for the partial-evaluation path ``at(x)``.
+
+``SmoothApprox.at`` and ``CompositeProblem.at`` return
+``(mu -> smoothed value at x, exact value at x)`` from one pass over
+``x``; the solvers' monitors read every recorded value through them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothflow import (
+    AffineTerm,
+    CompositeProblem,
+    affine_sum,
+    huber_l2_approx,
+    log_sum_exp_max_approx,
+    quadratic_least_squares,
+    smoothed_value,
+    sqrt_l2_approx,
+)
+from smoothflow.errors import InvalidParameterError
+
+SMOOTHERS = [sqrt_l2_approx, huber_l2_approx]
+PROPERTY = settings(max_examples=60, deadline=None)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+dims = st.integers(min_value=1, max_value=6)
+mus = st.floats(min_value=1e-4, max_value=10.0)
+x_scales = st.sampled_from([1e-3, 1.0, 30.0])
+
+
+def stacked_sum(rng, n_x, n_terms, smoother):
+    """The l1-of-residuals shape: one-row terms, one 1-d smoother."""
+    return affine_sum(
+        AffineTerm(
+            float(rng.uniform(0.1, 2.0)),
+            rng.standard_normal((1, n_x)),
+            rng.standard_normal(1),
+            smoother(1),
+        )
+        for _ in range(n_terms)
+    )
+
+
+def generic_sum(rng, n_x, n_terms):
+    """Multi-row terms with mixed smoothers take the per-term path."""
+    terms = []
+    for i in range(n_terms):
+        rows = int(rng.integers(1, 4))
+        inner = [sqrt_l2_approx, huber_l2_approx, log_sum_exp_max_approx][i % 3](rows)
+        terms.append(
+            AffineTerm(
+                float(rng.uniform(0.1, 2.0)),
+                rng.standard_normal((rows, n_x)),
+                rng.standard_normal(rows),
+                inner,
+            )
+        )
+    return affine_sum(terms)
+
+
+@PROPERTY
+@given(seeds, dims, st.integers(min_value=1, max_value=8), st.sampled_from(SMOOTHERS), mus, x_scales)
+def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoother, mu, scale):
+    rng = np.random.default_rng(seed)
+    h = stacked_sum(rng, n_x, n_terms, smoother)
+    assert h._stack is not None
+    x = scale * rng.standard_normal(n_x)
+    value_at, exact = h.at(x)
+    assert (value_at(mu), exact) == (h.value(x, mu), h.underlying_value(x))
+    # Against the 1-d smoothers term by term. The stacked path sums in
+    # another order and uses numpy's hypot, and sqrt(r^2 + mu^2) - mu
+    # cancels, so the tolerance is relative to the terms' magnitude.
+    residuals = [float((t.matrix @ x + t.offset)[0]) for t in h.terms]
+    scale_sum = sum(t.weight * (abs(r) + mu) for t, r in zip(h.terms, residuals))
+    ref_value = sum(
+        t.weight * t.inner.value(np.array([r]), mu) for t, r in zip(h.terms, residuals)
+    )
+    ref_exact = sum(t.weight * abs(r) for t, r in zip(h.terms, residuals))
+    assert abs(value_at(mu) - ref_value) <= 1e-12 * scale_sum
+    assert exact == pytest.approx(ref_exact, rel=1e-12, abs=1e-300)
+
+
+@PROPERTY
+@given(seeds, dims, st.integers(min_value=1, max_value=5), mus, x_scales)
+def test_generic_sum_matches_value_and_underlying(seed, n_x, n_terms, mu, scale):
+    rng = np.random.default_rng(seed)
+    h = generic_sum(rng, n_x, n_terms)
+    x = scale * rng.standard_normal(n_x)
+    value_at, exact = h.at(x)
+    assert value_at(mu) == pytest.approx(h.value(x, mu), rel=1e-12, abs=1e-300)
+    assert exact == pytest.approx(h.underlying_value(x), rel=1e-12, abs=1e-300)
+
+
+@PROPERTY
+@given(seeds, dims, st.sampled_from(["none", "stacked", "generic"]), mus, mus, x_scales)
+def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
+    rng = np.random.default_rng(seed)
+    f = quadratic_least_squares(rng.standard_normal((n_x + 2, n_x)), rng.standard_normal(n_x + 2))
+    h = {
+        "none": lambda: None,
+        "stacked": lambda: stacked_sum(rng, n_x, 5, huber_l2_approx),
+        "generic": lambda: generic_sum(rng, n_x, 3),
+    }[kind]()
+    p = CompositeProblem(f=f, h=h)
+    x = scale * rng.standard_normal(n_x)
+    smoothed, exact = p.at(x)
+    fx = f.value(x)
+    if h is None:
+        expected = [float(fx), float(fx)]
+    else:
+        expected = [float(fx + h.value(x, mu)), float(fx + h.underlying_value(x))]
+    assert [smoothed(mu), exact] == expected
+    # One evaluation at x serves every mu (the monitors reuse F(x*, .)).
+    assert smoothed(other_mu) == smoothed_value(p, x, other_mu)
+    assert exact == p.true_value(x)
+    with pytest.raises(InvalidParameterError):
+        smoothed(0.0)
