@@ -55,14 +55,22 @@ class SmoothApprox:
     def grad_mu(self, x, mu):
         raise NotImplementedError
 
-    def at(self, x):
-        """Partial evaluation at ``x``: ``(mu -> value(x, mu), underlying_value(x))``.
+    def point(self, x):
+        """The approximation at one ``x``.
 
+        The result has ``value(mu)``, ``grad(mu)`` and ``exact()``, equal
+        to ``value(x, mu)``, ``grad_x(x, mu)`` and ``underlying_value(x)``.
         Subclasses override this to evaluate what depends only on ``x``
-        once, so the exact value and the smoothed value at any number
-        of ``mu`` cost a single pass over ``x``.
+        once, so the gradient and the values at any number of ``mu``
+        cost a single pass over ``x``. The shape of ``x`` is checked
+        here.
         """
-        return (lambda mu: self.value(x, mu)), self.underlying_value(x)
+        return _ApproxPoint(self, self._check_input(x))
+
+    def at(self, x):
+        """Partial evaluation at ``x``: ``(mu -> value(x, mu), underlying_value(x))``."""
+        point = self.point(x)
+        return point.value, point.exact()
 
     def branch_distance(self, x, mu):
         """Distance from ``x`` to the nearest non-smooth formula branch.
@@ -86,6 +94,25 @@ class SmoothApprox:
         if not (mu > 0.0):
             raise InvalidParameterError(f"mu must be > 0, got {mu}")
         return float(mu)
+
+
+class _ApproxPoint:
+    """A ``SmoothApprox`` at one x through its ``value``/``grad_x`` methods."""
+
+    __slots__ = ("_approx", "_x")
+
+    def __init__(self, approx, x):
+        self._approx = approx
+        self._x = x
+
+    def value(self, mu):
+        return self._approx.value(self._x, mu)
+
+    def grad(self, mu):
+        return self._approx.grad_x(self._x, mu)
+
+    def exact(self):
+        return self._approx.underlying_value(self._x)
 
 
 def _check_dim(dim):
@@ -295,13 +322,14 @@ class _AffineSum(SmoothApprox):
         else:
             self._stack = None
 
-    def _residuals(self, x):
-        mat, off, w, is_huber = self._stack
-        return mat @ x + off, w, is_huber
+    def point(self, x):
+        if self._stack is None:
+            return super().point(x)
+        return _StackedPoint(self._stack, self._check_input(x))
 
     def underlying_value(self, x):
         if self._stack is not None:
-            return self.at(x)[1]
+            return self.point(x).exact()
         x = self._check_input(x)
         return sum(
             t.weight * t.inner.underlying_value(t.matrix @ x + t.offset) for t in self.terms
@@ -309,67 +337,96 @@ class _AffineSum(SmoothApprox):
 
     def value(self, x, mu):
         if self._stack is not None:
-            return self.at(x)[0](mu)
+            return self.point(x).value(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
         return sum(t.weight * t.inner.value(t.matrix @ x + t.offset, mu) for t in self.terms)
 
-    def at(self, x):
-        if self._stack is None:
-            return super().at(x)
-        r, w, is_huber = self._residuals(self._check_input(x))
-        a = np.abs(r)
-
-        def value_at(mu):
-            mu = self._check_mu(mu)
-            if is_huber:
-                per = np.where(a <= mu, a * a / (2.0 * mu), a - 0.5 * mu)
-            else:
-                per = np.hypot(r, mu) - mu
-            return float(w @ per)
-
-        return value_at, float(w @ a)
-
     def grad_x(self, x, mu):
+        if self._stack is not None:
+            return self.point(x).grad(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
-        if self._stack is not None:
-            mat = self._stack[0]
-            r, w, is_huber = self._residuals(x)
-            if is_huber:
-                a = np.abs(r)
-                coeff = np.where(a <= mu, r / mu, np.sign(r))
-            else:
-                coeff = r / np.hypot(r, mu)
-            return mat.T @ (w * coeff)
         g = np.zeros(self.input_dim)
         for t in self.terms:
             g += t.weight * (t.matrix.T @ t.inner.grad_x(t.matrix @ x + t.offset, mu))
         return g
 
     def grad_mu(self, x, mu):
+        if self._stack is not None:
+            return self.point(x).grad_mu(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
-        if self._stack is not None:
-            r, w, is_huber = self._residuals(x)
-            if is_huber:
-                a = np.abs(r)
-                per = np.where(a <= mu, -a * a / (2.0 * mu * mu), -0.5)
-            else:
-                per = mu / np.hypot(r, mu) - 1.0
-            return float(w @ per)
         return sum(t.weight * t.inner.grad_mu(t.matrix @ x + t.offset, mu) for t in self.terms)
 
     def branch_distance(self, x, mu):
-        x = self._check_input(x)
         if self._stack is not None:
-            r, _, is_huber = self._residuals(x)
-            if not is_huber:
+            point = self.point(x)
+            if not self._stack[3]:
                 return math.inf
-            return float(np.min(np.abs(np.abs(r) - mu)))
+            return float(np.min(np.abs(point.magnitudes() - mu)))
+        x = self._check_input(x)
         return min(
             t.inner.branch_distance(t.matrix @ x + t.offset, mu) for t in self.terms
         )
+
+
+class _StackedPoint:
+    """The stacked l1-of-residuals sum at one x: r = C x + d is formed once.
+
+    What depends on mu as well (``hypot(r, mu)`` for the sqrt smoother,
+    the ``|r| <= mu`` mask for Huber) is kept for the last mu, so the
+    gradient and the value at one mu share it, and mu is checked once
+    per value.
+    """
+
+    __slots__ = ("_mat", "_w", "_huber", "_r", "_abs", "_mu", "_shared")
+
+    def __init__(self, stack, x):
+        self._mat, off, self._w, self._huber = stack
+        self._r = self._mat @ x + off
+        self._abs = None
+        self._mu = math.nan  # unequal to every mu, so the first one is checked
+
+    def magnitudes(self):
+        """|r|, the per-row distances the exact value sums."""
+        if self._abs is None:
+            self._abs = np.abs(self._r)
+        return self._abs
+
+    def _at_mu(self, mu):
+        if mu != self._mu:
+            mu = SmoothApprox._check_mu(mu)
+            self._shared = self.magnitudes() <= mu if self._huber else np.hypot(self._r, mu)
+            self._mu = mu
+        return self._mu, self._shared
+
+    def value(self, mu):
+        mu, shared = self._at_mu(mu)
+        if self._huber:
+            a = self._abs
+            per = np.where(shared, a * a / (2.0 * mu), a - 0.5 * mu)
+        else:
+            per = shared - mu
+        return float(self._w @ per)
+
+    def grad(self, mu):
+        mu, shared = self._at_mu(mu)
+        r = self._r
+        coeff = np.where(shared, r / mu, np.sign(r)) if self._huber else r / shared
+        return self._mat.T @ (self._w * coeff)
+
+    def grad_mu(self, mu):
+        mu, shared = self._at_mu(mu)
+        if self._huber:
+            a = self._abs
+            per = np.where(shared, -a * a / (2.0 * mu * mu), -0.5)
+        else:
+            per = mu / shared - 1.0
+        return float(self._w @ per)
+
+    def exact(self):
+        return float(self._w @ self.magnitudes())
 
 
 def affine_sum(terms):

@@ -176,7 +176,7 @@ def integrate_rk45(
     if has_optimum:
         diff0 = x - opt
         x0_dist_sq = float(diff0 @ diff0)
-        smoothed_at_opt = problem.at(opt)[0]
+        smoothed_at_opt = problem.point(opt).smoothed
 
     def rhs(t, y):
         mu = float(mu_of_t(t))
@@ -184,7 +184,7 @@ def integrate_rk45(
             raise IllPosedIntervalError(f"mu(t) = {mu} at t = {t}")
         g = smoothed_grad(problem, y, mu, counter)
         # Without this check a NaN stage only shrinks h until it underflows.
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalDivergenceError(
                 len(samples) - 1, f"non-finite right-hand side at t = {t}"
             )

@@ -181,91 +181,83 @@ def schedule_from_config(params, t0=0.0):
     raise ConfigError(f"unknown schedule name {name!r}")
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % value
+def _conversion(cls):
+    """printf conversion for one CSV field of type ``cls``.
+
+    Integers print exactly, strings as they are, and everything else as
+    a float with 17 significant digits (enough to round-trip a double).
+    """
+    if issubclass(cls, str):
+        return "%s"
+    if issubclass(cls, (int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 TRAJECTORY_COLUMNS = "k,t,s,mu,f_tilde,f_true,grad_norm,lyapunov,bound,grad_evals"
 FLOW_COLUMNS = "t,mu,f_true,lyapunov_v,bound_ct,grad_evals"
 TIMELINE_COLUMNS = "k,t_actual,t_lower,t_upper,mu_actual,mu_lower,mu_upper"
 
+# One % operation formats a whole row; the columns' types are fixed.
+_TRAJECTORY_ROW = "%d," + "%.17g," * 8 + "%d"
+_FLOW_ROW = "%.17g," * 5 + "%d"
+_TIMELINE_ROW = "%d" + ",%.17g" * 6
+
 
 def trajectory_csv(traj):
     """Fixed-column CSV of a discrete trajectory."""
     lines = [TRAJECTORY_COLUMNS]
-    for r in traj.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    _fmt(r.t),
-                    _fmt(r.s),
-                    _fmt(r.mu),
-                    _fmt(r.f_tilde),
-                    _fmt(r.f_true),
-                    _fmt(r.grad_norm),
-                    _fmt(r.lyapunov),
-                    _fmt(r.bound),
-                    str(r.grad_evals),
-                ]
-            )
-        )
+    lines.extend(
+        _TRAJECTORY_ROW
+        % (r.k, r.t, r.s, r.mu, r.f_tilde, r.f_true, r.grad_norm, r.lyapunov, r.bound, r.grad_evals)
+        for r in traj.records
+    )
     return "\n".join(lines) + "\n"
 
 
 def flow_csv(samples, include_x=False):
     """Fixed-column CSV of adaptive-integrator samples."""
     header = FLOW_COLUMNS
+    row = _FLOW_ROW
     if include_x:
         dim = samples[0].x.shape[0]
         header = header + "," + ",".join(f"x{i}" for i in range(dim))
+        row = row + ",%.17g" * dim
     lines = [header]
     for s in samples:
-        row = [
-            _fmt(s.t),
-            _fmt(s.mu),
-            _fmt(s.f_true),
-            _fmt(s.lyapunov_v),
-            _fmt(s.bound_ct),
-            str(s.grad_evals),
-        ]
+        fields = (s.t, s.mu, s.f_true, s.lyapunov_v, s.bound_ct, s.grad_evals)
         if include_x:
-            row.extend(_fmt(v) for v in s.x)
-        lines.append(",".join(row))
+            fields += tuple(s.x)
+        lines.append(row % fields)
     return "\n".join(lines) + "\n"
 
 
 def timeline_csv(table):
     """CSV of a timeline bounds-vs-recursion table."""
     lines = [TIMELINE_COLUMNS]
-    n = len(table["k"])
-    for i in range(n):
-        lines.append(
-            ",".join(
-                [str(int(table["k"][i]))]
-                + [
-                    _fmt(table[key][i])
-                    for key in (
-                        "t_actual",
-                        "t_lower",
-                        "t_upper",
-                        "mu_actual",
-                        "mu_lower",
-                        "mu_upper",
-                    )
-                ]
-            )
-        )
+    columns = [
+        np.asarray(table[key], dtype=float).tolist()
+        for key in ("t_actual", "t_lower", "t_upper", "mu_actual", "mu_lower", "mu_upper")
+    ]
+    ks = [int(k) for k in table["k"]]
+    lines.extend(_TIMELINE_ROW % (k, *rest) for k, *rest in zip(ks, *columns))
     return "\n".join(lines) + "\n"
 
 
 def series_csv(columns, rows):
-    """Generic CSV with a fixed column list; floats at full precision."""
+    """Generic CSV with a fixed column list; floats at full precision.
+
+    Each field prints by its type (see ``_conversion``); a row format is
+    built once per distinct tuple of field types.
+    """
     lines = [",".join(columns)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(map(_conversion, types))
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,7 @@
 per-mu smoothness constant ``L + alpha/mu``.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,15 +40,40 @@ class GradEvalCounter:
         self.count += 1
 
 
+class _PartPoint:
+    """f at one x through its ``value`` and ``grad`` callables."""
+
+    __slots__ = ("_part", "_x")
+
+    def __init__(self, part, x):
+        self._part = part
+        self._x = x
+
+    def value(self):
+        return self._part.value(self._x)
+
+    def grad(self):
+        return self._part.grad(self._x)
+
+
 @dataclass(frozen=True)
 class SmoothPart:
-    """Differentiable objective term with curvature metadata."""
+    """Differentiable objective term with curvature metadata.
+
+    ``point(x)`` returns an object whose ``value()`` and ``grad()`` give
+    f(x) and grad f(x); a part whose two share work at x (a residual)
+    passes its own, which must agree with ``value`` and ``grad``. The
+    default calls the two callables.
+    """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     sigma: float
     lipschitz: float
     input_dim: int
+    point: Optional[Callable[[np.ndarray], object]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.sigma < 0.0 or self.lipschitz < 0.0:
@@ -56,6 +82,25 @@ class SmoothPart:
             raise InvalidParameterError(
                 f"sigma ({self.sigma}) cannot exceed lipschitz ({self.lipschitz})"
             )
+        if self.point is None:
+            object.__setattr__(self, "point", functools.partial(_PartPoint, self))
+
+
+class _LeastSquaresPoint:
+    """||A x - b||^2 at one x: the residual A x - b is formed once."""
+
+    __slots__ = ("_a", "_r")
+
+    def __init__(self, a, b, x):
+        self._a = a
+        self._r = a @ x - b
+
+    def value(self):
+        r = self._r
+        return float(r @ r)
+
+    def grad(self):
+        return 2.0 * (self._a.T @ self._r)
 
 
 def quadratic_least_squares(a, b):
@@ -80,19 +125,14 @@ def quadratic_least_squares(a, b):
     if lam_min < _RANK_FLOOR * lam_max:
         lam_min = 0.0
 
-    def value(x, _a=a, _b=b):
-        r = _a @ x - _b
-        return float(r @ r)
-
-    def grad(x, _a=a, _b=b):
-        return 2.0 * (_a.T @ (_a @ x - _b))
-
+    point = functools.partial(_LeastSquaresPoint, a, b)
     return SmoothPart(
-        value=value,
-        grad=grad,
+        value=lambda x: point(x).value(),
+        grad=lambda x: point(x).grad(),
         sigma=2.0 * lam_min,
         lipschitz=2.0 * lam_max,
         input_dim=a.shape[1],
+        point=point,
     )
 
 
@@ -153,33 +193,18 @@ class CompositeProblem:
     def beta(self):
         return self.h.params.beta if self.h is not None else 0.0
 
+    def point(self, x):
+        """One evaluation of F at ``x``; see ``CompositePoint``."""
+        return CompositePoint(self, x)
+
     def at(self, x):
-        """Partial evaluation at ``x``: ``(mu -> F(x, mu), F(x))``.
-
-        ``f(x)`` and the residuals inside ``h`` are evaluated once, so
-        the exact value and the smoothed value at any number of ``mu``
-        cost a single pass over ``x``.
-        """
-        x = np.asarray(x, dtype=float)
-        fx = self.f.value(x)
-        if self.h is None:
-            h_at, exact = None, float(fx)
-        else:
-            h_at, h_exact = self.h.at(x)
-            exact = float(fx + h_exact)
-
-        def smoothed(mu):
-            if not (mu > 0.0):
-                raise InvalidParameterError(f"mu must be > 0, got {mu}")
-            if h_at is None:
-                return float(fx)
-            return float(fx + h_at(mu))
-
-        return smoothed, exact
+        """Partial evaluation at ``x``: ``(mu -> F(x, mu), F(x))``."""
+        point = self.point(x)
+        return point.smoothed, point.exact()
 
     def true_value(self, x):
         """F(x) with the exact (non-smoothed) h."""
-        return self.at(x)[1]
+        return self.point(x).exact()
 
     def require_optimum(self):
         if self.optimum is None:
@@ -187,23 +212,79 @@ class CompositeProblem:
         return self.optimum
 
 
+def _check_mu(mu):
+    if not (mu > 0.0):
+        raise InvalidParameterError(f"mu must be > 0, got {mu}")
+
+
+class CompositePoint:
+    """F at one x: the gradient, F(x, mu) and F(x) from one pass over x.
+
+    The residuals inside f and h (``A x - b``, ``C x + d``) are formed
+    when the point is built; everything else is computed on request, so
+    a point read only for its gradient costs no more than the gradient.
+    The shape of ``x`` is checked once, by ``h``'s point (or here when
+    there is no ``h``), and ``mu`` by ``h``'s point once per value of mu.
+    """
+
+    __slots__ = ("x", "_f", "_h", "_fx")
+
+    def __init__(self, problem, x):
+        x = np.asarray(x, dtype=float)
+        if problem.h is None:
+            if x.shape != (problem.input_dim,):
+                raise DimensionMismatchError(
+                    f"expected input of shape ({problem.input_dim},), got {x.shape}"
+                )
+            self._h = None
+        else:
+            self._h = problem.h.point(x)
+        self._f = problem.f.point(x)
+        self.x = x
+        self._fx = None
+
+    def _f_value(self):
+        if self._fx is None:
+            self._fx = self._f.value()
+        return self._fx
+
+    def grad(self, mu):
+        """grad_x F(x, mu)."""
+        if self._h is None:
+            _check_mu(mu)
+            return self._f.grad()
+        return self._f.grad() + self._h.grad(mu)
+
+    def smoothed(self, mu):
+        """F(x, mu) = f(x) + h_tilde(x, mu)."""
+        if self._h is None:
+            _check_mu(mu)
+            return float(self._f_value())
+        return float(self._f_value() + self._h.value(mu))
+
+    def exact(self):
+        """F(x) with the exact h."""
+        if self._h is None:
+            return float(self._f_value())
+        return float(self._f_value() + self._h.exact())
+
+
 def smoothed_value(problem, x, mu):
     """F(x, mu) = f(x) + h_tilde(x, mu)."""
-    return problem.at(x)[0](mu)
+    return problem.point(x).smoothed(mu)
 
 
 def smoothed_grad(problem, x, mu, counter=None):
     """Gradient of the smoothed objective in x.
 
-    Passing a ``GradEvalCounter`` charges the evaluation to a run
-    context; bookkeeping-only evaluations pass None.
+    ``x`` is an array or a ``CompositePoint`` of ``problem``; a caller
+    that also reads values at ``x`` passes the point, so the gradient
+    and the values share one pass. Passing a ``GradEvalCounter``
+    charges the evaluation to a run context; bookkeeping-only
+    evaluations pass None.
     """
-    if not (mu > 0.0):
-        raise InvalidParameterError(f"mu must be > 0, got {mu}")
-    x = np.asarray(x, dtype=float)
-    g = problem.f.grad(x)
-    if problem.h is not None:
-        g = g + problem.h.grad_x(x, mu)
+    point = x if isinstance(x, CompositePoint) else problem.point(x)
+    g = point.grad(mu)
     if counter is not None:
         counter.increment()
     return g
@@ -211,8 +292,7 @@ def smoothed_grad(problem, x, mu, counter=None):
 
 def lipschitz_at(problem, mu):
     """Smoothness constant of F(., mu): L + alpha/mu."""
-    if not (mu > 0.0):
-        raise InvalidParameterError(f"mu must be > 0, got {mu}")
+    _check_mu(mu)
     return problem.f.lipschitz + problem.alpha / mu
 
 

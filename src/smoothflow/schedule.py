@@ -26,6 +26,34 @@ from .errors import InvalidParameterError, ScheduleExhaustedError
 # treated as ill-posed rather than silently clamped.
 MU_FLOOR = 1e-300
 
+_LOG2 = math.log(2.0)
+
+
+def logaddexp(x, y):
+    """log(exp(x) + exp(y)) of two Python floats, bit for bit ``np.logaddexp``.
+
+    The branches and the libm calls are those of numpy's
+    ``npy_logaddexp``; calling the ufunc on scalars costs several times
+    more, and the schedule recursion makes two calls per step.
+    """
+    if x == y:
+        # Equal infinities land here too, so no inf - inf is formed.
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0.0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0.0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp  # a NaN argument
+
+
+def _exp_or_inf(log_value):
+    """exp(log_value), or inf once the value is past the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
 
 def step_size(lipschitz, alpha, mu):
     """Stepsize 1/(L + alpha/mu); always in (0, mu/alpha]."""
@@ -197,7 +225,9 @@ class ScheduleState:
     ``eta`` and the eta-weighted sums are kept both linearly and in log
     space; the linear values are exact while they fit in a double and
     the log values take over transparently once eta grows past that
-    (eta grows like exp(sigma * t_k)).
+    (eta grows like exp(sigma * t_k)). ``sum_eta_s`` and
+    ``sum_eta_mu_s`` read inf once the sums themselves leave the double
+    range; the log values stay exact.
     """
 
     k: int
@@ -220,13 +250,13 @@ class ScheduleState:
     def sum_eta_s(self):
         if math.isfinite(self.sum_eta_s_lin):
             return self.sum_eta_s_lin
-        return math.exp(self.log_sum_eta_s)
+        return _exp_or_inf(self.log_sum_eta_s)
 
     @property
     def sum_eta_mu_s(self):
         if math.isfinite(self.sum_eta_mu_s_lin):
             return self.sum_eta_mu_s_lin
-        return math.exp(self.log_sum_eta_mu_s)
+        return _exp_or_inf(self.log_sum_eta_mu_s)
 
 
 def initial_state(sched, lipschitz, alpha):
@@ -285,9 +315,9 @@ def advance(sched, state, sigma, lipschitz, alpha):
         sum_eta_s_lin=state.sum_eta_s_lin + eta_next * s_k,
         sum_eta_mu_s_lin=state.sum_eta_mu_s_lin + eta_next * mu_k * s_k,
         log_eta=log_eta_next,
-        log_sum_eta_s=float(np.logaddexp(state.log_sum_eta_s, log_eta_next + log_s)),
-        log_sum_eta_mu_s=float(
-            np.logaddexp(state.log_sum_eta_mu_s, log_eta_next + log_s + math.log(mu_k))
+        log_sum_eta_s=logaddexp(state.log_sum_eta_s, log_eta_next + log_s),
+        log_sum_eta_mu_s=logaddexp(
+            state.log_sum_eta_mu_s, log_eta_next + log_s + math.log(mu_k)
         ),
     )
 

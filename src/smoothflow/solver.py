@@ -20,7 +20,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
-from .schedule import advance, initial_state
+from .schedule import advance, initial_state, logaddexp
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
@@ -110,11 +110,11 @@ def bound_discrete(state, x0_dist_sq, beta):
     num_lin = half_dist + beta * state.sum_eta_mu_s_lin
     if math.isfinite(num_lin) and math.isfinite(state.sum_eta_s_lin):
         return num_lin / state.sum_eta_s_lin
-    log_num = np.logaddexp(
+    log_num = logaddexp(
         math.log(half_dist) if half_dist > 0.0 else -math.inf,
         math.log(beta) + state.log_sum_eta_mu_s,
     )
-    return float(math.exp(log_num - state.log_sum_eta_s))
+    return math.exp(log_num - state.log_sum_eta_s)
 
 
 def closed_form_bound_nonstrongly(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq, k):
@@ -167,7 +167,8 @@ def run_sgm(
     max_steps : iteration budget (>= 1)
     grad_eval_budget : optional cap on charged gradient evaluations
     grad_tol : optional stop threshold on the smoothed gradient norm
-    record_stride : keep every stride-th record (first and last always)
+    record_stride : keep every stride-th record (first and last always);
+        an integer >= 1
     step_scale : experimental stepsize factor in (0, 1]; the analytical
         bounds are only guaranteed at 1.0
     counter : optional externally owned ``GradEvalCounter``
@@ -179,6 +180,8 @@ def run_sgm(
         raise InvalidParameterError("max_steps must be >= 1")
     if not (0.0 < step_scale <= 1.0):
         raise InvalidParameterError("step_scale must be in (0, 1]")
+    if record_stride < 1:
+        raise InvalidParameterError(f"record_stride must be >= 1, got {record_stride}")
     x = np.array(x0, dtype=float).reshape(-1)
     if x.shape[0] != problem.input_dim:
         raise DimensionMismatchError(
@@ -195,18 +198,17 @@ def run_sgm(
     if has_optimum:
         diff0 = x - opt
         x0_dist_sq = float(diff0 @ diff0)
-        smoothed_at_opt = problem.at(opt)[0]
+        smoothed_at_opt = problem.point(opt).smoothed
 
     state = initial_state(sched, lipschitz, alpha)
     records = []
     status = STATUS_BUDGET
 
-    def emit(k, st, x_now, grad_norm, evals):
-        smoothed_at_x, f_true = problem.at(x_now)
-        f_tilde = smoothed_at_x(st.mu)
+    def emit(k, st, point, grad_norm, evals):
+        f_tilde = point.smoothed(st.mu)
         if has_optimum:
             lyap = _lyapunov(
-                x_now,
+                point.x,
                 opt,
                 st.eta_lin,
                 st.sum_eta_s,
@@ -224,9 +226,9 @@ def run_sgm(
                 t=st.t,
                 s=st.s,
                 mu=st.mu,
-                x=x_now.copy(),
+                x=point.x.copy(),
                 f_tilde=f_tilde,
-                f_true=f_true,
+                f_true=point.exact(),
                 grad_norm=grad_norm,
                 lyapunov=lyap,
                 bound=bnd,
@@ -249,9 +251,13 @@ def run_sgm(
                 stopping = True
                 status = STATUS_SCHEDULE
         charged = not stopping
-        g = smoothed_grad(problem, x, state.mu, counter if charged else None)
-        grad_norm = float(np.linalg.norm(g))
-        if not (np.all(np.isfinite(x)) and math.isfinite(grad_norm)):
+        # One point per iterate: the charged gradient and, on a recorded
+        # step, the monitors read the same residuals.
+        point = problem.point(x)
+        g = smoothed_grad(problem, point, state.mu, counter if charged else None)
+        # The Euclidean norm as np.linalg.norm forms it, without its overhead.
+        grad_norm = math.sqrt(g @ g)
+        if not (np.isfinite(x).all() and math.isfinite(grad_norm)):
             raise NumericalDivergenceError(k)
         if not stopping and grad_tol is not None and grad_norm <= grad_tol:
             stopping = True
@@ -259,7 +265,7 @@ def run_sgm(
         if stopping or k % record_stride == 0:
             # Evaluations spent reaching this iterate; a just-charged
             # evaluation belongs to the step ahead, not to this record.
-            emit(k, state, x, grad_norm, counter.count - (1 if charged else 0))
+            emit(k, state, point, grad_norm, counter.count - (1 if charged else 0))
         if stopping:
             break
         x = x - step_scale * state.s * g

@@ -260,3 +260,46 @@ def test_golden_output_hash(tmp_path, smoothing, command):
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", str(out)]) == 0
     assert file_hash(out / artifact) == GOLDEN[(smoothing, command)]
+
+
+# eta_k overflows at k = 356 and the eta-weighted sums leave the double
+# range soon after, so the bound's tail comes from its log-space branch.
+OVERFLOWING = {
+    "problem": {"n_x": 2, "n_A": 50, "n_C": 1, "rng_seed": 3},
+    "smoothing": "sqrt_l2",
+    "schedule": {"name": "power", "mu0": 100.0, "gamma": 0.1},
+    "run": {"max_steps": 3000},
+}
+
+# Same contract as GOLDEN, for the bound series and the rate fit (with
+# the subcommands' default flags).
+GOLDEN_BOUNDS = {
+    ("STRONG", "bounds"): "a4616f0bfc8500eae4cbfb47d26271a4da0b5ddeed27380c6d40924d1a105205",
+    ("STRONG", "rate-fit"): "71ff60082cac81b257bba6c9a16f06757b24432cde206d7af14088902e6d0ddb",
+    ("OVERFLOWING", "bounds"): "4eaba7f1b9a6a5b85e9be270963c38adb4f362d31933ce08689dec94a0de5ce5",
+}
+
+
+@pytest.mark.parametrize("config,command", sorted(GOLDEN_BOUNDS))
+def test_golden_bound_hash(tmp_path, config, command):
+    payload = {"STRONG": STRONG, "OVERFLOWING": OVERFLOWING}[config]
+    artifact = {"bounds": "discrete_bounds.csv", "rate-fit": "rate_fit.csv"}[command]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    assert file_hash(out / artifact) == GOLDEN_BOUNDS[(config, command)]
+
+
+def test_solve_sgm_survives_eta_overflow(tmp_path):
+    cfg = write_config(tmp_path, OVERFLOWING)
+    out = tmp_path / "out"
+    assert run(["solve-sgm", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 3001
+
+
+@pytest.mark.parametrize("stride", [0, -2])
+def test_record_stride_below_one_is_config_error(tmp_path, capsys, stride):
+    cfg = write_config(tmp_path, dict(STRONG, run={"max_steps": 40, "record_stride": stride}))
+    assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "record_stride" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothflow import (
     ConstantMu,
@@ -18,6 +21,7 @@ from smoothflow import (
     sum_divergence_equivalent,
 )
 from smoothflow.errors import InvalidParameterError, ScheduleExhaustedError
+from smoothflow.schedule import logaddexp
 
 
 def run_schedule(sched, sigma, lipschitz, alpha, steps):
@@ -272,3 +276,42 @@ class TestStateMonotonicity:
             if a.s > 1e-12 * max(1.0, a.t):
                 assert b.t > a.t
             assert b.eta >= a.eta >= 1.0
+
+
+# --- scalar logaddexp ---------------------------------------------------------
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+moderate = st.floats(min_value=-1e3, max_value=1e3)
+extremes = st.sampled_from([-math.inf, math.inf, 1e300, -1e300, 0.0, -0.0])
+arg_pairs = st.one_of(
+    st.tuples(any_float, any_float),
+    any_float.map(lambda x: (x, x)),
+    # spreads above 50, where exp underflows the smaller term's weight
+    st.tuples(moderate, st.floats(min_value=50.0, max_value=1e3)).map(
+        lambda t: (t[0], t[0] + t[1])
+    ),
+    st.tuples(moderate, st.floats(min_value=-1.0, max_value=1.0)).map(
+        lambda t: (t[0], t[0] + t[1])
+    ),
+    st.tuples(extremes, any_float),
+    st.tuples(any_float, extremes),
+)
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(arg_pairs)
+@example((-math.inf, -math.inf))
+@example((-math.inf, 3.5))
+@example((2.0, 2.0))
+@example((1e300, 1e300))
+@example((-1e300, 1e300))
+@example((0.0, 60.0))
+def test_logaddexp_equals_numpy_bit_for_bit(pair):
+    x, y = pair
+    with np.errstate(all="ignore"):
+        expected = float(np.logaddexp(x, y))
+    assert float_bits(logaddexp(x, y)) == float_bits(expected)

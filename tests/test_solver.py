@@ -358,3 +358,77 @@ class TestClosedFormBound:
                 p.f.lipschitz, p.alpha, p.beta, 1.0, gamma, d_sq, k
             )
             assert running <= closed * (1.0 + 1e-12)
+
+
+def overflowing_problem():
+    """Strongly convex enough that eta_k leaves the double range at k = 356."""
+    from smoothflow.harness import ExperimentConfig, generate_problem
+
+    return generate_problem(ExperimentConfig(n_x=2, n_a=50, n_c=1, rng_seed=3))
+
+
+class TestLongStronglyConvexRun:
+    def test_run_survives_eta_overflow(self):
+        # eta_lin overflows at k = 356 and the log sums pass log(DBL_MAX)
+        # soon after; the run used to die there with OverflowError.
+        p = overflowing_problem()
+        traj = run_sgm(p, PowerDecay(mu0=100.0, gamma=0.1, t0=1.0), np.zeros(2), 3000)
+        assert traj.status == STATUS_BUDGET
+        assert [r.k for r in traj.records] == list(range(3001))
+        lyap = traj.column("lyapunov")
+        assert np.isfinite(lyap[:356]).all()
+        assert not np.isfinite(lyap[356:]).any()
+        bounds = traj.column("bound")[1:]
+        assert np.isfinite(bounds).all()
+        assert (traj.column("f_true")[1:] - p.optimal_value <= bounds).all()
+
+    def test_eta_sums_read_inf_past_the_double_range(self):
+        p = overflowing_problem()
+        sched = PowerDecay(mu0=100.0, gamma=0.1, t0=1.0)
+        state = initial_state(sched, p.f.lipschitz, p.alpha)
+        while state.log_sum_eta_s <= 710.0:
+            state = advance(sched, state, p.f.sigma, p.f.lipschitz, p.alpha)
+        assert state.log_sum_eta_mu_s > 710.0
+        assert state.sum_eta_s == math.inf
+        assert state.sum_eta_mu_s == math.inf
+        d_sq = float(p.optimum @ p.optimum)
+        assert math.isfinite(bound_discrete(state, d_sq, p.beta))
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_record_stride_must_be_positive(strongly_convex_problem, zero_x0, stride):
+    with pytest.raises(InvalidParameterError, match="record_stride"):
+        run_sgm(
+            strongly_convex_problem,
+            PowerDecay(mu0=1.0, gamma=0.5),
+            zero_x0,
+            10,
+            record_stride=stride,
+        )
+
+
+@pytest.mark.parametrize("stride", [1, 4, 100])
+def test_one_residual_pass_per_iterate(strongly_convex_problem, zero_x0, monkeypatch, stride):
+    # Count the points built on the l1 term: each forms C x + d once.
+    # A recorded step reads its gradient and its monitors from the same
+    # point, and an unrecorded step builds no more than a recorded one,
+    # so the count is one per iterate plus one at x* for the run.
+    h_type = type(strongly_convex_problem.h)
+    built = []
+    original = h_type.point
+
+    def counting_point(self, x):
+        built.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(h_type, "point", counting_point)
+    steps = 12
+    traj = run_sgm(
+        strongly_convex_problem,
+        PowerDecay(mu0=1.0, gamma=0.5),
+        zero_x0,
+        steps,
+        record_stride=stride,
+    )
+    assert traj.final.k == steps
+    assert len(built) == (steps + 1) + 1
