@@ -1,106 +1,104 @@
-"""Small deterministic numerical kernels.
+"""Small numerical kernels: certified curvature constants and quadrature.
 
-Everything here is dependency-free on purpose: spectral norms and
-eigenvalues feed smoothness/strong-convexity constants that the
-analytical bounds consume, so the results must be reproducible
-bit-for-bit across runs.
+The stepsize ``1/(L + alpha/mu)`` and the gap bounds hold only if ``L``
+and ``alpha`` are upper bounds and ``sigma`` a lower bound, so the
+eigenvalue kernel returns an enclosure: LAPACK's ``eigh`` widened by
+Kahan's residual bound (Parlett, *The Symmetric Eigenvalue Problem*,
+Sec. 11.5) and the ``gamma_n`` rounding bounds (Higham, *Accuracy and
+Stability of Numerical Algorithms*, Sec. 3), each rounded outward. Its
+last bits depend on the numpy/LAPACK build, as a matrix product's do.
 """
 
 import math
 
 import numpy as np
 
+_U = 2.0**-53  # unit roundoff of IEEE double
+# Covers every product that underflows on the way (each errs by at most
+# 2**-1075, and there are far fewer than 2**70 of them).
+_TINY = 2.0**-1000
 
-def spectral_norm(a, max_iter=200, rel_tol=1e-12):
-    """Largest singular value of ``a`` by power iteration on ``a.T @ a``.
 
-    Starts from the all-ones vector; stops after ``max_iter`` iterations
-    or when the Rayleigh quotient changes by less than ``rel_tol``
-    relatively, whichever comes first.
+def _gamma(n):
+    """An upper bound on gamma_n = n u / (1 - n u) while n u <= 0.01."""
+    return 1.01 * n * _U
+
+
+def upper(x, roundings):
+    """An upper bound on a non-negative formula whose float value is ``x``.
+
+    The formula combines non-negative terms with sums, products,
+    quotients and square roots, at most ``roundings`` on any one term.
+    """
+    return math.nextafter(x * (1.0 + _gamma(roundings)) + _TINY, math.inf)
+
+
+def _frobenius(x):
+    """An upper bound on the Frobenius norm of ``x``."""
+    x = x.ravel()
+    return upper(math.sqrt(float(x @ x)), x.size + 2)
+
+
+def gram_error(a):
+    """An upper bound on ``||fl(A^T A) - A^T A||_2`` and on that of ``A A^T``.
+
+    An entry errs by at most gamma_k (k the inner dimension) times that
+    of ``|A|^T |A|``, whose Frobenius norm is at most ``||A||_F^2``.
+    """
+    return upper(_gamma(max(a.shape)) * _frobenius(a) ** 2, 4)
+
+
+def _enclose(g):
+    """``(lo, hi)`` enclosing the spectrum of ``g`` read as ``eigh`` reads it."""
+    n = g.shape[0]
+    g = np.where(np.tri(n, dtype=bool), g, g.T)  # the lower triangle, mirrored
+    lam, v = np.linalg.eigh(g)
+    # Kahan: the eigenvalues of g pair off with lam, each within ||R||_2 /
+    # sigma_min(v), R = g v - v lam. The computed R errs by gamma_n |g| |v|
+    # (g @ v), u |v| |lam| (v * lam) and u |R| (the subtraction).
+    v_norm = _frobenius(v)
+    residual = upper(
+        _frobenius(g @ v - v * lam) * (1.0 + _gamma(1))
+        + _gamma(n) * _frobenius(g) * v_norm
+        + _U * v_norm * max(-lam[0], lam[-1]),
+        8,
+    )
+    # sigma_min(v)^2 >= 1 - ||v^T v - I||_2; the computed v^T v is off by
+    # gamma_n |v|^T |v|, whose Frobenius norm is at most ||v||_F^2.
+    drift = upper(
+        _frobenius(v.T @ v - np.eye(n)) * (1.0 + _gamma(1)) + _gamma(n) * v_norm * v_norm,
+        6,
+    )
+    if not (drift < 1.0 and math.isfinite(residual)):
+        raise ValueError("no finite enclosure: the matrix is non-finite or overflows")
+    sigma_min = math.nextafter(math.sqrt(math.nextafter(1.0 - drift, 0.0)), 0.0)
+    delta = math.nextafter(residual / sigma_min, math.inf)
+    lo = math.nextafter(float(lam[0]) - delta, -math.inf)
+    return lo, math.nextafter(float(lam[-1]) + delta, math.inf)
+
+
+def symmetric_eigenvalues(m):
+    """``(lo, hi)`` with ``lo <= lambda_min(m)`` and ``lambda_max(m) <= hi``.
+
+    ``m`` is symmetric; only its lower triangle is read.
+    """
+    g = np.asarray(m, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise ValueError("expected a non-empty square matrix")
+    return _enclose(g)
+
+
+def spectral_norm(a):
+    """An upper bound on the largest singular value of ``a``.
+
+    From the smaller Gram, ``A^T A`` or ``A A^T`` (1 x 1 for one row).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a non-empty 2-D array")
-    m = a.T @ a
-    n = m.shape[0]
-    v = np.ones(n)
-    # Fall back to basis vectors if the start is orthogonal to the range.
-    for fallback in range(n + 1):
-        w = m @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w > 0.0:
-            break
-        if fallback == n:
-            return 0.0
-        v = np.zeros(n)
-        v[fallback] = 1.0
-    else:
-        return 0.0
-    lam = 0.0
-    for _ in range(max_iter):
-        v = w / norm_w
-        w = m @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
-
-
-def symmetric_eigenvalues(m, rel_tol=1e-12, max_sweeps=60):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in row-major order until the
-    off-diagonal Frobenius norm drops below ``rel_tol`` times the full
-    Frobenius norm. Returns the eigenvalues sorted ascending.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    norm_full = float(np.linalg.norm(a))
-    if norm_full == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= rel_tol * norm_full:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300 or abs(apq) <= 1e-18 * (
-                    abs(a[p, p]) + abs(a[q, q])
-                ):
-                    # negligible coupling; zeroing it directly avoids an
-                    # overflowing rotation angle
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                # Classic stable rotation angle selection; the large-theta
-                # branch avoids overflow in theta*theta.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = rot_p
-                a[:, q] = rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = rot_p
-                a[q, :] = rot_q
-    return np.sort(np.diag(a))
+    _, hi = _enclose(a @ a.T if a.shape[0] < a.shape[1] else a.T @ a)
+    square = math.nextafter(max(hi, 0.0) + gram_error(a), math.inf)
+    return math.nextafter(math.sqrt(square), math.inf)
 
 
 def kahan_cumsum(values):

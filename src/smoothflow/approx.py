@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import spectral_norm, upper
 from .errors import DimensionMismatchError, InvalidDimensionError, InvalidParameterError
 from .rng import Xoshiro256pp
 
@@ -308,7 +308,8 @@ class _AffineSum(SmoothApprox):
         self.input_dim = dim
         self.terms = tuple(terms)
         self.term_norms = tuple(norms)
-        self.params = SmoothingParams(alpha, beta)
+        # Rounded up: each product takes three roundings, the running sum one per term.
+        self.params = SmoothingParams(upper(alpha, len(terms) + 3), beta)
         kinds = {type(t.inner) for t in terms}
         if len(kinds) == 1 and kinds.pop() in (_SqrtL2, _HuberL2) and all(
             t.inner.input_dim == 1 for t in terms
@@ -434,8 +435,8 @@ def affine_sum(terms):
 
     The result's parameters follow the composition rule
     ``alpha = sum w_i * alpha_i * ||A_i||_2^2`` and
-    ``beta = sum w_i * beta_i``, with spectral norms computed by power
-    iteration.
+    ``beta = sum w_i * beta_i``, with certified upper bounds on the
+    spectral norms, so ``alpha`` is an upper bound as well.
     """
     return _AffineSum(list(terms))
 

@@ -121,7 +121,7 @@ def generate_problem(cfg):
     given seed always yields bit-identical data. The l1 term is the sum
     over rows of one-dimensional smooth approximations of
     |c_i^T x - d_i|; its parameters come out as
-    (sum_i ||c_i||^2, n_C) for the sqrt smoother.
+    (sum_i ||c_i||^2, n_C) for the sqrt smoother, alpha rounded up.
     """
     rng = Xoshiro256pp(cfg.rng_seed)
     a = rng.normals((cfg.n_a, cfg.n_x))

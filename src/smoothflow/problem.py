@@ -7,12 +7,13 @@ per-mu smoothness constant ``L + alpha/mu``.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import symmetric_eigenvalues
+from ._linalg import gram_error, symmetric_eigenvalues
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -109,7 +110,8 @@ def quadratic_least_squares(a, b):
     The missing 1/2 means the gradient is ``2 A^T (A x - b)`` and the
     curvature constants carry a factor 2: ``L = 2 lambda_max(A^T A)``,
     ``sigma = 2 lambda_min(A^T A)`` (floored to 0 for numerically
-    rank-deficient Gram matrices).
+    rank-deficient Gram matrices). Both are certified: ``L`` is at least
+    and ``sigma`` at most the exact value.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -119,9 +121,12 @@ def quadratic_least_squares(a, b):
         raise DimensionMismatchError(
             f"b has length {b.shape[0]}, expected {a.shape[0]} rows"
         )
-    eigs = symmetric_eigenvalues(a.T @ a)
-    lam_max = float(max(eigs[-1], 0.0))
-    lam_min = float(max(eigs[0], 0.0))
+    # Certified: the enclosure of the computed Gram's spectrum, widened
+    # by the rounding of forming the Gram.
+    lo, hi = symmetric_eigenvalues(a.T @ a)
+    err = gram_error(a)
+    lam_max = math.nextafter(hi + err, math.inf)
+    lam_min = max(math.nextafter(lo - err, -math.inf), 0.0)
     if lam_min < _RANK_FLOOR * lam_max:
         lam_min = 0.0
 

@@ -79,11 +79,57 @@ class Xoshiro256pp:
         return u * f
 
     def normals(self, shape):
-        """Array of standard normals, filled in C (row-major) order."""
+        """Array of standard normals, filled in C (row-major) order.
+
+        The same draws as repeated ``normal()`` calls, the cached spare
+        included. ``next_u64`` and ``uniform`` are inlined on local state
+        words, because this loop is most of what a problem build costs.
+        """
         n = int(np.prod(shape))
         out = np.empty(n)
-        for i in range(n):
-            out[i] = self.normal()
+        i = 0
+        spare = self._spare
+        if spare is not None and n > 0:
+            out[0] = spare
+            i = 1
+            spare = None
+        s0, s1, s2, s3 = self._s
+        log, sqrt = math.log, math.sqrt
+        mask = _MASK
+        scale = 2.0**-53
+        while i < n:
+            while True:
+                w = (s0 + s3) & mask
+                u = 2.0 * ((((((w << 23) | (w >> 41)) + s0) & mask) >> 11) * scale) - 1.0
+                t = (s1 << 17) & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & mask
+                w = (s0 + s3) & mask
+                v = 2.0 * ((((((w << 23) | (w >> 41)) + s0) & mask) >> 11) * scale) - 1.0
+                t = (s1 << 17) & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & mask
+                q = u * u + v * v
+                if 0.0 < q < 1.0:
+                    break
+            f = sqrt(-2.0 * log(q) / q)
+            out[i] = u * f
+            i += 1
+            if i < n:
+                out[i] = v * f
+                i += 1
+            else:
+                spare = v * f
+        self._s = [s0, s1, s2, s3]
+        self._spare = spare
         return out.reshape(shape)
 
 

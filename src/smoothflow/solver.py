@@ -71,10 +71,14 @@ def _lyapunov(x, opt, weight, integral, f_tilde, beta, mu, f_tilde_opt):
     """weight/2 * ||x - x*||^2 + integral * (F(x, mu) + beta*mu - F(x*, mu)).
 
     The one formula behind the discrete and the continuous certificate;
-    callers pass the smoothed values they already hold.
+    callers pass the smoothed values they already hold. A zero distance
+    or gap contributes 0 even once its weight has overflowed to inf.
     """
     diff = x - opt
-    return 0.5 * weight * float(diff @ diff) + integral * (f_tilde + beta * mu - f_tilde_opt)
+    dist_sq = float(diff @ diff)
+    gap = f_tilde + beta * mu - f_tilde_opt
+    dist_term = 0.5 * weight * dist_sq if dist_sq != 0.0 else 0.0
+    return dist_term + (integral * gap if gap != 0.0 else 0.0)
 
 
 def lyapunov_discrete(problem, state, x):
@@ -112,7 +116,7 @@ def bound_discrete(state, x0_dist_sq, beta):
         return num_lin / state.sum_eta_s_lin
     log_num = logaddexp(
         math.log(half_dist) if half_dist > 0.0 else -math.inf,
-        math.log(beta) + state.log_sum_eta_mu_s,
+        math.log(beta) + state.log_sum_eta_mu_s if beta > 0.0 else -math.inf,
     )
     return math.exp(log_num - state.log_sum_eta_s)
 

@@ -104,3 +104,20 @@ def test_normals_fill_row_major():
 
 def test_seed_masks_to_64_bits():
     assert Xoshiro256pp(2**64 + 42).next_u64() == GOLDEN_U64[42][0]
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("shape", [1, 2, 7, (3, 4), (5, 3), (2, 1, 3)])
+def test_normals_equal_repeated_normal(shape, pending):
+    # normals inlines the generator step; the draws, their order and the
+    # cached spare stay those of normal(). A pending spare comes first.
+    a = Xoshiro256pp(2024)
+    b = Xoshiro256pp(2024)
+    if pending:
+        assert a.normal() == b.normal()
+    for _ in range(3):
+        batch = a.normals(shape)
+        singles = np.array([b.normal() for _ in range(batch.size)]).reshape(shape)
+        assert batch.tobytes() == singles.tobytes()
+    assert a.normal() == b.normal()
+    assert a.next_u64() == b.next_u64()

@@ -25,6 +25,7 @@ from smoothflow.errors import (
     UndefinedBoundError,
     UnsupportedOperationError,
 )
+from smoothflow.rng import Xoshiro256pp
 from smoothflow.solver import STATUS_BUDGET, STATUS_SCHEDULE, STATUS_TOLERANCE
 
 
@@ -376,8 +377,11 @@ class TestLongStronglyConvexRun:
         assert traj.status == STATUS_BUDGET
         assert [r.k for r in traj.records] == list(range(3001))
         lyap = traj.column("lyapunov")
-        assert np.isfinite(lyap[:356]).all()
-        assert not np.isfinite(lyap[356:]).any()
+        # The iterate sits at x* bit for bit, so the overflowed weight
+        # meets a zero distance and adds 0; the integral term overflows
+        # from k = 357 on.
+        assert np.isfinite(lyap[:357]).all()
+        assert np.isposinf(lyap[357:]).all()
         bounds = traj.column("bound")[1:]
         assert np.isfinite(bounds).all()
         assert (traj.column("f_true")[1:] - p.optimal_value <= bounds).all()
@@ -393,6 +397,19 @@ class TestLongStronglyConvexRun:
         assert state.sum_eta_mu_s == math.inf
         d_sq = float(p.optimum @ p.optimum)
         assert math.isfinite(bound_discrete(state, d_sq, p.beta))
+
+
+    def test_bound_without_h_survives_overflow(self):
+        # beta = 0: the log-space branch used to take log(0) once
+        # beta * sum_eta_mu_s became 0 * inf (at k = 603).
+        a = Xoshiro256pp(11).normals((50, 2))
+        p = CompositeProblem(f=quadratic_least_squares(a, np.zeros(50)), optimum=np.zeros(2))
+        traj = run_sgm(p, PowerDecay(mu0=100.0, gamma=0.1), np.ones(2), 1000)
+        assert traj.status == STATUS_BUDGET
+        bounds = traj.column("bound")[1:]
+        assert np.isfinite(bounds).all()
+        assert (traj.column("f_true")[1:] <= bounds).all()
+        assert not np.isnan(traj.column("lyapunov")).any()
 
 
 @pytest.mark.parametrize("stride", [0, -3])
