@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from ._linalg import adaptive_simpson
+from ._linalg import adaptive_simpson, chord_weights, lower, upper
 from .errors import (
     IllPosedIntervalError,
     InvalidParameterError,
@@ -23,7 +23,14 @@ from .errors import (
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
-from .schedule import ContinuousDriven
+from .schedule import (
+    ConstantMu,
+    ContinuousDriven,
+    ExponentialMu,
+    LinearMu,
+    ReciprocalMu,
+    _exp_or_inf,
+)
 from .solver import _lyapunov, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
@@ -50,6 +57,10 @@ _FACTOR_MAX = 5.0
 _INITIAL_STEP_FRACTION = 1e-2
 _MIN_STEP_FRACTION = 1e-14
 
+# Convex designs: the chord over any step lies above mu. Exact types only,
+# since a subclass may override mu.
+_CONVEX_DESIGNS = (ConstantMu, LinearMu, ExponentialMu, ReciprocalMu)
+
 
 @dataclass(frozen=True)
 class FlowSample:
@@ -57,7 +68,9 @@ class FlowSample:
 
     ``lyapunov_v`` and ``bound_ct`` are NaN when the problem's optimum
     is unknown; ``bound_ct`` is also NaN at the initial time where the
-    bound is undefined.
+    bound is undefined. ``lyapunov_v`` reads inf once its weight
+    exp(sigma (t - t0)) leaves the double range; ``bound_ct`` stays
+    finite.
     """
 
     t: float
@@ -82,8 +95,13 @@ def integrate_euler(problem, design, x0, max_steps, **kwargs):
 
 
 def _sigma_integral(sigma, delta):
-    """I_sigma = (exp(sigma delta) - 1)/sigma, or delta at sigma 0."""
-    return delta if sigma == 0.0 else math.expm1(sigma * delta) / sigma
+    """I_sigma = (exp(sigma delta) - 1)/sigma, or delta at sigma 0; inf past the double range."""
+    if sigma == 0.0:
+        return delta
+    try:
+        return math.expm1(sigma * delta) / sigma
+    except OverflowError:
+        return math.inf
 
 
 def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
@@ -102,7 +120,7 @@ def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
     return _lyapunov(
         x,
         opt,
-        math.exp(sigma * delta),
+        _exp_or_inf(sigma * delta),
         _sigma_integral(sigma, delta),
         smoothed_value(problem, x, mu),
         beta,
@@ -114,8 +132,8 @@ def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
 def weighted_mu_integral(mu_of_t, sigma, t0, t):
     """int_{t0}^{t} exp(sigma (tau - t0)) mu(tau) dtau.
 
-    Uses the design's closed form when it has one (constant and
-    exponential designs do), adaptive Simpson otherwise.
+    Uses the design's closed form when it has one (constant, linear and
+    exponential designs do); otherwise an adaptive Simpson estimate.
     """
     closed = getattr(mu_of_t, "weighted_integral", None)
     if callable(closed):
@@ -125,15 +143,62 @@ def weighted_mu_integral(mu_of_t, sigma, t0, t):
     )
 
 
+def _chord_step(scaled, sigma, h, mu_a, mu_b):
+    """J(b) from J(a), b = a + h, with mu replaced by its chord on [a, b].
+
+    J(t) = int_{t0}^{t} exp(-sigma (t - tau)) mu(tau) dtau, so
+    J(b) = e^{-sigma h} J(a) + h (mu_a g + mu_b q) (``chord_weights``),
+    the trapezoid at sigma 0. With ``mu_a``, ``mu_b`` at or above mu and
+    mu convex the result is an upper bound, rounded outward; h and
+    sigma h each carry one rounding.
+    """
+    x = sigma * h
+    decay = 1.0 if x == 0.0 else upper(math.exp(-x), 2.02 * x + 3)
+    g, q = chord_weights(x)
+    return upper(decay * scaled + h * (mu_a * g + mu_b * q), 10)
+
+
+def _bound_ratio(x0_dist_sq, beta, sigma, delta, scaled):
+    """The continuous gap bound from J(t), rounded up; finite at any t.
+
+    (x0_dist_sq/2 e^{-sigma delta} + beta J) / ((1 - e^{-sigma delta})/sigma):
+    the bound's numerator and I_sigma both scaled by e^{-sigma delta},
+    with the denominator rounded down.
+    """
+    x = sigma * delta
+    if x == 0.0:
+        decay, weight = 1.0, delta
+    else:
+        decay = upper(math.exp(-x), 2.02 * x + 3)
+        weight = lower(-math.expm1(-x) / sigma, 6)
+    return upper((0.5 * x0_dist_sq * decay + beta * scaled) / weight, 4)
+
+
+def _unscaled_bound(x0_dist_sq, beta, sigma, mu_of_t, t0, t):
+    """(x0_dist_sq/2 + beta * int exp(sigma tau') mu) / I_sigma(t); inf past the double range."""
+    integral = _sigma_integral(sigma, t - t0)
+    if math.isinf(integral):
+        return math.inf
+    return (0.5 * x0_dist_sq + beta * weighted_mu_integral(mu_of_t, sigma, t0, t)) / integral
+
+
 def bound_continuous(x0_dist_sq, beta, sigma, mu_of_t, t0, t):
     """Continuous-time optimality-gap bound at time t > t0.
 
-    (x0_dist_sq/2 + beta * int exp(sigma tau') mu) / I_sigma(t).
+    (x0_dist_sq/2 + beta * int exp(sigma tau') mu) / I_sigma(t), from
+    ``weighted_mu_integral``. Once that overflows, the numerator and
+    I_sigma are scaled by exp(-sigma (t - t0)) and the scaled integral
+    is an adaptive Simpson estimate.
     """
     if not (t > t0):
         raise UndefinedBoundError("the continuous bound is defined for t > t0")
-    integral = _sigma_integral(sigma, t - t0)
-    return (0.5 * x0_dist_sq + beta * weighted_mu_integral(mu_of_t, sigma, t0, t)) / integral
+    bound = _unscaled_bound(x0_dist_sq, beta, sigma, mu_of_t, t0, t)
+    if math.isfinite(bound):
+        return bound
+    scaled = adaptive_simpson(
+        lambda tau: math.exp(sigma * (tau - t)) * float(mu_of_t(tau)), t0, t
+    )
+    return _bound_ratio(x0_dist_sq, beta, sigma, t - t0, scaled)
 
 
 def integrate_rk45(
@@ -157,6 +222,14 @@ def integrate_rk45(
     evaluation up front plus six per attempted step.
 
     Returns the list of ``FlowSample`` at t0 and every accepted step.
+    ``bound_ct`` costs O(1) per sample for the four built-in designs:
+    the constant, linear and exponential ones use the closed form of the
+    weighted integral while the bound fits in a double; past that, and
+    always for ``ReciprocalMu``, it is the chord integral accumulated
+    over the accepted steps with every rounding outward, a certified
+    upper bound. Other designs get ``bound_continuous``, an adaptive
+    Simpson estimate.
+
     Raises ``IllPosedIntervalError`` if mu(t) <= 0 anywhere it is
     evaluated, ``NumericalDivergenceError`` if a right-hand-side
     evaluation is not finite, and ``StiffnessError`` on step-size
@@ -190,6 +263,26 @@ def integrate_rk45(
             )
         return -g
 
+    # Along the built-in designs the bound comes from J(t) (``_chord_step``),
+    # advanced once per sample; a closed form is used while it is finite.
+    chord = type(mu_of_t) in _CONVEX_DESIGNS
+    closed = callable(getattr(mu_of_t, "weighted_integral", None))
+    t_last, mu_last, scaled = t0, math.nan, 0.0
+
+    def bound_at(t, mu):
+        nonlocal t_last, mu_last, scaled
+        if not chord:
+            return bound_continuous(x0_dist_sq, beta, sigma, mu_of_t, t0, t) if t > t0 else math.nan
+        mu_hi = mu_of_t._upper_mu(t, mu)
+        bnd = math.nan
+        if t > t0:
+            scaled = _chord_step(scaled, sigma, t - t_last, mu_last, mu_hi)
+            bnd = _unscaled_bound(x0_dist_sq, beta, sigma, mu_of_t, t0, t) if closed else math.inf
+            if not math.isfinite(bnd):
+                bnd = _bound_ratio(x0_dist_sq, beta, sigma, t - t0, scaled)
+        t_last, mu_last = t, mu_hi
+        return bnd
+
     def sample_at(t, y):
         mu = float(mu_of_t(t))
         smoothed_at_y, f_true = problem.at(y)
@@ -198,18 +291,14 @@ def integrate_rk45(
             lyap = _lyapunov(
                 y,
                 opt,
-                math.exp(sigma * delta),
+                _exp_or_inf(sigma * delta),
                 _sigma_integral(sigma, delta),
                 smoothed_at_y(mu),
                 beta,
                 mu,
                 smoothed_at_opt(mu),
             )
-            bnd = (
-                bound_continuous(x0_dist_sq, beta, sigma, mu_of_t, t0, t)
-                if t > t0
-                else math.nan
-            )
+            bnd = bound_at(t, mu)
         else:
             lyap = math.nan
             bnd = math.nan
@@ -228,18 +317,16 @@ def integrate_rk45(
     h = _INITIAL_STEP_FRACTION * span
     min_step = _MIN_STEP_FRACTION * span
     t = t0
-    k1 = rhs(t, x)
-    stages = [None] * 7
+    k_mat = np.empty((7, x.size))  # stage derivatives; row 0 is FSAL's carry
+    k_mat[0] = rhs(t, x)
     for _ in range(max_attempts):
         remaining = t_end - t
         h_try = min(h, remaining)
         if h_try < min_step:
             raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
-        stages[0] = k1
         for i in range(1, 7):
-            yi = x + h_try * (_DP_A[i] @ np.array(stages[:i]))
-            stages[i] = rhs(t + _DP_C[i] * h_try, yi)
-        k_mat = np.array(stages)
+            yi = x + h_try * (_DP_A[i] @ k_mat[:i])
+            k_mat[i] = rhs(t + _DP_C[i] * h_try, yi)
         x_new = x + h_try * (_DP_B5 @ k_mat)
         err_vec = h_try * (_DP_ERR @ k_mat)
         scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
@@ -248,7 +335,7 @@ def integrate_rk45(
             # Land exactly on t_end when the step was clipped to it.
             t = t_end if h_try == remaining else t + h_try
             x = x_new
-            k1 = stages[6]  # FSAL: last stage is the next first stage
+            k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
             samples.append(sample_at(t, x))
             if t >= t_end:
                 return samples

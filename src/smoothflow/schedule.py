@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._linalg import _U, chord_weights, upper
 from .errors import InvalidParameterError, ScheduleExhaustedError
 
 # Below this the smoothing parameter is numerically dead and the flow is
@@ -150,6 +151,29 @@ class LinearMu:
     def __call__(self, t):
         return self.mu0 - self.rate * (t - self.t0)
 
+    def _upper_mu(self, t, mu):
+        """An upper bound on the exact mu(t), given the computed ``mu = self(t)``.
+
+        The product rate (t - t0) errs by at most 2.01 u of itself, the
+        subtraction by u of ``mu``.
+        """
+        return upper(mu + 2.02 * _U * self.rate * abs(t - self.t0), 3)
+
+    def weighted_integral(self, sigma, t0, t):
+        """Closed form of int_{t0}^{t} exp(sigma*(tau-t0)) * mu(tau) dtau, rounded up.
+
+        mu is its own chord, so with x = sigma (t - t0) the integral is
+        (t - t0) (mu(t0) q(-x) + mu(t) g(-x)) in the terms of
+        ``chord_weights``; inf once e^x overflows. x carries the
+        rounding of t - t0 and of the product, 2.01 u of itself.
+        """
+        delta = t - t0
+        x = sigma * delta
+        g, q = chord_weights(-x)
+        mu_a = self._upper_mu(t0, self(t0))
+        mu_b = self._upper_mu(t, self(t))
+        return upper(delta * (mu_a * q + mu_b * g), 4 + 2.02 * (x + 2.0))
+
     def describe(self):
         return f"linear(mu0={self.mu0:g},rate={self.rate:g})"
 
@@ -167,13 +191,23 @@ class ExponentialMu:
     def __call__(self, t):
         return self.mu0 * math.exp(-self.gamma * (t - self.t0))
 
+    def _upper_mu(self, t, mu):
+        """An upper bound on the exact mu(t), given the computed ``mu = self(t)``.
+
+        The exponent gamma (t - t0) errs by 2.01 u of itself, which moves
+        mu by 2.01 u gamma |t - t0| of itself; exp and the product add
+        1 ulp and u.
+        """
+        return upper(mu, 2.02 * self.gamma * abs(t - self.t0) + 4)
+
     def weighted_integral(self, sigma, t0, t):
         """Closed form of int_{t0}^{t} exp(sigma*(tau-t0)) * mu(tau) dtau."""
         delta = t - t0
         rate = self.gamma - sigma
+        mu_start = self(t0)  # exactly mu0 when t0 is the design's own origin
         if rate == 0.0:
-            return self.mu0 * delta
-        return self.mu0 * -math.expm1(-rate * delta) / rate
+            return mu_start * delta
+        return mu_start * -math.expm1(-rate * delta) / rate
 
     def describe(self):
         return f"exponential(mu0={self.mu0:g},gamma={self.gamma:g})"
@@ -192,6 +226,17 @@ class ReciprocalMu:
     def __call__(self, t):
         return self.mu0 * (1.0 + (t - self.t0)) ** (-self.power)
 
+    def _upper_mu(self, t, mu):
+        """An upper bound on the exact mu(t), given the computed ``mu = self(t)``.
+
+        The base 1 + (t - t0) errs by u (1 + |t - t0|/base) of itself,
+        which the power multiplies by p; pow and the product add 1 ulp
+        and u.
+        """
+        delta = t - self.t0
+        base = 1.0 + delta
+        return upper(mu, 2.02 * self.power * (1.0 + abs(delta) / base) + 4)
+
     def describe(self):
         return f"reciprocal(mu0={self.mu0:g},p={self.power:g})"
 
@@ -207,6 +252,10 @@ class ConstantMu:
 
     def __call__(self, t):
         return self.mu0
+
+    def _upper_mu(self, t, mu):
+        """mu itself: the constant is exact."""
+        return mu
 
     def weighted_integral(self, sigma, t0, t):
         delta = t - t0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -309,6 +310,72 @@ def test_overflowing_lyapunov_reads_inf_not_nan(tmp_path):
     lyap = [line.split(",")[column] for line in lines[1:]]
     assert "nan" not in lyap
     assert lyap[357:] == ["inf"] * (3001 - 357)
+
+
+# The reciprocal design has no closed form, so its bound_ct column is the
+# accumulated chord integral, rounded outward; same contract as GOLDEN.
+RECIPROCAL = dict(
+    CONTINUOUS, schedule={"name": "continuous-reciprocal", "mu0": 1.0, "p": 1.0, "t0": 1.0}
+)
+GOLDEN_RECIPROCAL_RK45 = "e9aae4682fa82febfad12ed9dc38a05dcb61c98905e66a2f3c30fb194f456319"
+
+
+def test_golden_reciprocal_flow_hash(tmp_path):
+    cfg = write_config(tmp_path, RECIPROCAL)
+    out = tmp_path / "out"
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(out)]) == 0
+    assert file_hash(out / "flow_rk45.csv") == GOLDEN_RECIPROCAL_RK45
+
+
+def flow_columns(path):
+    lines = path.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+
+
+# sigma is about 75.5 here, so exp(sigma (t - t0)) leaves the double
+# range near t = 10.4; both the certificate and the bound used to die
+# with OverflowError there.
+OVERFLOWING_FLOW = {
+    "problem": {"n_x": 2, "n_A": 50, "n_C": 1, "rng_seed": 3},
+    "smoothing": "sqrt_l2",
+    "run": {"t_end": 12.0},
+}
+RECIPROCAL_MU = {"name": "continuous-reciprocal", "mu0": 1.0, "p": 1.0}
+EXP_MU = {"name": "continuous-exp", "mu0": 1.0, "gamma": 1.0}
+
+
+def run_overflowing_flow(tmp_path, schedule, **run_keys):
+    payload = dict(OVERFLOWING_FLOW, schedule=schedule)
+    payload["run"] = dict(payload["run"], **run_keys)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(out)]) == 0
+    cols = flow_columns(out / "flow_rk45.csv")
+    assert all(math.isfinite(b) for b in cols["bound_ct"][1:])
+    assert not any(math.isnan(v) for v in cols["lyapunov_v"])
+    assert cols["lyapunov_v"][-1] == math.inf
+    return cols
+
+
+@pytest.mark.parametrize("schedule", [RECIPROCAL_MU, EXP_MU], ids=["reciprocal", "exp"])
+def test_solve_rk45_survives_weight_overflow(tmp_path, schedule):
+    run_overflowing_flow(tmp_path, schedule)
+
+
+def test_gap_below_bound_past_overflow(tmp_path):
+    cols = run_overflowing_flow(tmp_path, RECIPROCAL_MU)
+    assert all(f <= b for f, b in zip(cols["f_true"][1:], cols["bound_ct"][1:]))
+
+
+def test_gap_below_bound_past_overflow_exp(tmp_path):
+    # At the default rtol 1e-3 the integrated x trails the exact flow and
+    # f_true exceeds the bound from t = 5.65, before any overflow (also
+    # before this change), so this run is integrated tightly. The steps
+    # shrink like mu(t), so it stops soon after the overflow at t = 10.4.
+    cols = run_overflowing_flow(tmp_path, EXP_MU, t_end=10.8, rtol=1e-8, atol=1e-10)
+    assert all(f <= b for f, b in zip(cols["f_true"][1:], cols["bound_ct"][1:]))
 
 
 @pytest.mark.parametrize("stride", [0, -2])

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothflow import (
     CompositeProblem,
@@ -27,8 +30,12 @@ from smoothflow.errors import (
     StiffnessError,
     UndefinedBoundError,
 )
-from smoothflow.flow import weighted_mu_integral
+from smoothflow import flow
+from smoothflow.flow import _chord_step, weighted_mu_integral
+from smoothflow.harness import ExperimentConfig, generate_problem
 from smoothflow.solver import STATUS_SCHEDULE
+
+DIGITS = 50
 
 
 def linear_decay_problem(rate):
@@ -281,6 +288,15 @@ class TestContinuousBound:
         slope = np.polyfit(ts, logs, 1)[0]
         assert slope <= -sigma * 0.9
 
+    @pytest.mark.parametrize(
+        "design", [ExponentialMu(1.0, 2.0, t0=1.0), LinearMu(1.0, 0.2, t0=1.0)]
+    )
+    def test_closed_form_from_another_origin(self, design):
+        # The integral starts at t0 = 0, not at the design's origin t0 = 1.
+        got = weighted_mu_integral(design, 0.5, 0.0, 2.0)
+        oracle = dense_simpson(lambda tau: math.exp(0.5 * tau) * design(tau), 0.0, 2.0)
+        assert got == pytest.approx(oracle, rel=1e-10)
+
     def test_simpson_fallback_matches_closed_form(self):
         # reciprocal design has no closed form; compare adaptive Simpson
         # against the dense-grid oracle
@@ -330,3 +346,208 @@ class TestEulerVsAdaptive:
         assert float(np.max(np.abs(fs - oracle))) / scale <= 2e-2
         early = np.abs(fs[:2] - oracle[:2]) / (1.0 + np.abs(oracle[:2]))
         assert float(np.max(early)) <= 1e-2
+
+
+def exact_scaled_integrals(design, sigma, ts):
+    """J(t) = int_{ts[0]}^{t} exp(-sigma (t - tau)) mu(tau) dtau at every grid point.
+
+    ``design`` is a ReciprocalMu; 50 digits, one quadrature per step.
+    """
+    with mpmath.workdps(DIGITS):
+        s, mu0, p, t0 = (mpmath.mpf(v) for v in (sigma, design.mu0, design.power, design.t0))
+        out = [mpmath.mpf(0)]
+        for a, b in zip(ts, ts[1:]):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            step = mpmath.quad(
+                lambda tau: mpmath.exp(-s * (b - tau)) * mu0 * (1 + (tau - t0)) ** (-p), [a, b]
+            )
+            out.append(mpmath.exp(-s * (b - a)) * out[-1] + step)
+        return out
+
+
+def chord_integral(design, sigma, ts):
+    """J(ts[-1]) accumulated over the grid as ``integrate_rk45`` does."""
+    scaled = 0.0
+    mu_a = design._upper_mu(ts[0], design(ts[0]))
+    for a, b in zip(ts, ts[1:]):
+        mu_b = design._upper_mu(b, design(b))
+        scaled = _chord_step(scaled, sigma, b - a, mu_a, mu_b)
+        mu_a = mu_b
+    return scaled
+
+
+@st.composite
+def chord_cases(draw, max_step):
+    design = ReciprocalMu(
+        draw(st.floats(0.01, 100.0)), draw(st.floats(0.1, 4.0)), t0=draw(st.floats(-1.0, 2.0))
+    )
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(50.0, 2000.0)))
+    # Steps down to 1e-9, where the chord's own slack is far below a
+    # rounding error, so the outward rounding alone keeps J on top.
+    steps = draw(
+        st.lists(
+            st.one_of(st.floats(1e-9, 1e-6), st.floats(1e-6, max_step)), min_size=1, max_size=10
+        )
+    )
+    ts = [design.t0 + draw(st.floats(0.0, 3.0))]
+    for h in steps:
+        ts.append(ts[-1] + h)
+    return design, sigma, [t for i, t in enumerate(ts) if i == 0 or t > ts[i - 1]]
+
+
+class TestChordIntegral:
+    """The scaled integral J that ``integrate_rk45`` accumulates for ReciprocalMu."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chord_cases(max_step=1.0))
+    def test_at_least_the_exact_integral(self, case):
+        design, sigma, ts = case
+        if len(ts) < 2:
+            return
+        assert chord_integral(design, sigma, ts) >= exact_scaled_integrals(design, sigma, ts)[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.01, 100.0),
+        st.floats(0.1, 1.5),
+        st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        st.lists(st.floats(1e-3, 0.05), min_size=1, max_size=20),
+    )
+    def test_tight_for_short_steps(self, mu0, p, sigma, steps):
+        # The chord's slack on one step is about h^2 p (p + 1) / 12 of the
+        # integral: below 1e-3 for h <= 0.05 and p <= 1.5.
+        design = ReciprocalMu(mu0, p, t0=1.0)
+        ts = list(1.0 + np.cumsum([0.0] + steps))
+        exact = exact_scaled_integrals(design, sigma, ts)[-1]
+        assert chord_integral(design, sigma, ts) <= exact * (1 + 1e-3)
+
+    def test_sigma_zero_is_the_trapezoid(self):
+        assert _chord_step(2.0, 0.0, 0.5, 3.0, 1.0) >= 2.0 + 0.5 * (3.0 + 1.0) / 2
+        assert _chord_step(2.0, 0.0, 0.5, 3.0, 1.0) == pytest.approx(3.0, rel=1e-14)
+
+
+def rk45_samples(problem, design, t_end=2.0):
+    x0 = np.zeros(problem.f.input_dim)
+    return integrate_rk45(problem, design, x0, 1.0, t_end, 1e-9, 1e-12)
+
+
+def count_simpson(monkeypatch):
+    calls = {"n": 0}
+    inner = flow.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "adaptive_simpson", counting)
+    return calls
+
+
+class TestCertifiedRk45Bound:
+    @pytest.mark.parametrize("fixture", ["strongly_convex_problem", "nonstrongly_convex_problem"])
+    def test_reciprocal_bound_above_simpson_and_exact(self, request, fixture):
+        p = request.getfixturevalue(fixture)
+        design = ReciprocalMu(1.0, 1.0, t0=1.0)
+        samples = rk45_samples(p, design, t_end=1.5)
+        sigma, beta = p.f.sigma, p.beta
+        d_sq = float(p.optimum @ p.optimum)
+        exact_j = exact_scaled_integrals(design, sigma, [s.t for s in samples])
+        for s, j in zip(samples[1:], exact_j[1:]):
+            assert s.bound_ct >= bound_continuous(d_sq, beta, sigma, design, 1.0, s.t)
+            with mpmath.workdps(DIGITS):
+                delta = mpmath.mpf(s.t) - 1
+                decay = mpmath.exp(-sigma * delta)
+                weight = (1 - decay) / sigma if sigma > 0 else delta
+                exact = (d_sq / 2 * decay + beta * j) / weight
+            assert exact <= s.bound_ct <= exact * (1 + 1e-4)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            ConstantMu(0.5),
+            LinearMu(1.0, 0.3, t0=1.0),
+            ExponentialMu(1.0, 2.0, t0=1.0),
+            ReciprocalMu(1.0, 1.0, t0=1.0),
+        ],
+        ids=lambda d: type(d).__name__,
+    )
+    def test_builtin_designs_never_call_simpson(self, monkeypatch, strongly_convex_problem, design):
+        calls = count_simpson(monkeypatch)
+        samples = rk45_samples(strongly_convex_problem, design, t_end=1.5)
+        assert calls["n"] == 0
+        assert all(math.isfinite(s.bound_ct) for s in samples[1:])
+
+    def test_user_callable_keeps_simpson(self, monkeypatch, strongly_convex_problem):
+        calls = count_simpson(monkeypatch)
+        rk45_samples(strongly_convex_problem, lambda t: 1.0 / t, t_end=1.5)
+        assert calls["n"] > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["sqrt_l2", "huber_l2"]),
+        st.sampled_from(["constant", "linear", "exponential", "reciprocal"]),
+        st.floats(0.1, 5.0),
+    )
+    def test_gap_below_bound(self, n_x, n_a, n_c, seed, smoothing, name, mu0):
+        p = generate_problem(ExperimentConfig(n_x, n_a, n_c, seed, smoothing=smoothing))
+        design = {
+            "constant": lambda: ConstantMu(mu0),
+            "linear": lambda: LinearMu(mu0, mu0 / 2.0, t0=1.0),  # positive up to t = 3
+            "exponential": lambda: ExponentialMu(mu0, 1.0, t0=1.0),
+            "reciprocal": lambda: ReciprocalMu(mu0, 1.0, t0=1.0),
+        }[name]()
+        samples = rk45_samples(p, design)
+        gap = np.array([s.f_true for s in samples[1:]]) - p.optimal_value
+        bound = np.array([s.bound_ct for s in samples[1:]])
+        # Slack for evaluating f_true and the bound in floating point only.
+        assert (gap <= bound + 1e-12 * (1.0 + np.abs(bound))).all()
+
+
+class TestLinearClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.01, 5.0),
+        st.floats(0.0, 0.99),
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)),
+    )
+    def test_rounded_up_against_mpmath(self, mu0, rate, frac, sigma):
+        design = LinearMu(mu0, rate, t0=1.0)
+        t = 1.0 + frac * mu0 / rate
+        if not t > 1.0:
+            return
+        got = design.weighted_integral(sigma, 1.0, t)
+        with mpmath.workdps(DIGITS):
+            s, m, r = mpmath.mpf(sigma), mpmath.mpf(mu0), mpmath.mpf(rate)
+            exact = mpmath.quad(
+                lambda tau: mpmath.exp(s * (tau - 1)) * (m - r * (tau - 1)), [1, mpmath.mpf(t)]
+            )
+        assert exact <= got
+        assert got == pytest.approx(float(exact), rel=1e-12)
+
+    def test_inf_past_the_double_range(self):
+        assert LinearMu(1.0, 0.1, t0=0.0).weighted_integral(1000.0, 0.0, 1.0) == math.inf
+
+
+class TestContinuousOverflow:
+    def test_lyapunov_weight_reads_inf(self, strongly_convex_problem):
+        p = strongly_convex_problem
+        v = lyapunov_continuous(p, np.zeros(10), 1e4, 0.0, p.f.sigma, p.beta, ConstantMu(1.0))
+        assert v == math.inf
+
+    @pytest.mark.parametrize(
+        "design", [ConstantMu(0.5), ExponentialMu(1.0, 0.5), ReciprocalMu(1.0, 1.0)]
+    )
+    def test_bound_continuous_scales_past_overflow(self, design):
+        sigma, t = 100.0, 10.0
+        got = bound_continuous(2.0, 1.0, sigma, design, 0.0, t)
+        # e^{-sigma t} is far below a rounding, so the bound is beta J / (1/sigma)
+        exact = sigma * mpmath.quad(
+            lambda tau: mpmath.exp(-sigma * (t - tau)) * design(float(tau)), [0, t - 1, t]
+        )
+        assert math.isfinite(got)
+        assert got == pytest.approx(float(exact), rel=1e-6)

@@ -97,6 +97,25 @@ def test_reads_the_lower_triangle():
 
 
 @pytest.mark.parametrize(
+    "m",
+    [
+        [[1e300, 1.0], [1.0, 0.0]],
+        [[1e300, 1e300], [1e300, -1e300]],
+        [[3e200, -1e-300, 5.0], [-1e-300, 2e155, 1e154], [5.0, 1e154, -7e160]],
+    ],
+    ids=["huge-and-one", "all-huge", "mixed"],
+)
+def test_entries_past_1e154_enclosed(m):
+    # Their squares overflow; the Frobenius norms scale them first.
+    lo, hi = symmetric_eigenvalues(np.array(m))
+    with mpmath.workdps(DIGITS):
+        lam_min, lam_max, norm = exact_spectrum(mpmath.matrix(m))
+        assert lo <= lam_min + slack(norm)
+        assert lam_max - slack(norm) <= hi
+        assert hi - lo <= (lam_max - lam_min) * (1 + mpmath.mpf("1e-12"))
+
+
+@pytest.mark.parametrize(
     "a",
     [
         # PSD, eigenvalues 1 and 0.5; the top eigenvector (1, -1) is
