@@ -34,16 +34,13 @@ for mu in (1.0, 0.1, 0.001):
     print(f"  mu = {mu:5g}: {lse.value(v, mu):.6f}   (exact max = 1)")
 
 # --- l1 norms of affine residuals --------------------------------------------
-# |c_i^T x - d_i| is approximated per row by the one-dimensional sqrt
-# surrogate; the composition rule yields parameters (sum ||c_i||^2, n_C).
+# ||C x - d||_1 as one term: each |c_i^T x - d_i| is approximated by the
+# one-dimensional sqrt surrogate; the composition rule yields parameters
+# (sum ||c_i||^2, n_C).
 rng = sf.Xoshiro256pp(7)
 c = rng.normals((6, 4))
 d = rng.normals(6)
-terms = [
-    sf.AffineTerm(1.0, c[i : i + 1, :], -d[i : i + 1], sf.sqrt_l2_approx(1))
-    for i in range(6)
-]
-l1 = sf.affine_sum(terms)
+l1 = sf.l1_residual(c, d, "sqrt_l2")
 print("\nl1-of-residuals composition:")
 print("  alpha =", l1.params.alpha, " (sum ||c_i||^2 =", float(np.sum(c * c)), ")")
 print("  beta  =", l1.params.beta, " (n_C = 6)")
@@ -54,7 +51,7 @@ for name, approx in [
     ("sqrt_l2(5)", sf.sqrt_l2_approx(5)),
     ("huber_l2(5)", sf.huber_l2_approx(5)),
     ("log_sum_exp(5)", sf.log_sum_exp_max_approx(5)),
-    ("l1_affine(4)", l1),
+    ("l1_residual(4)", l1),
 ]:
     rep = sf.certify(approx, 1000, rng_seed=42)
     print(

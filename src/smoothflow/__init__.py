@@ -17,6 +17,7 @@ from .approx import (
     affine_sum,
     certify,
     huber_l2_approx,
+    l1_residual,
     log_sum_exp_max_approx,
     sqrt_l2_approx,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "initial_state",
     "integrate_euler",
     "integrate_rk45",
+    "l1_residual",
     "lipschitz_at",
     "log_sum_exp_max_approx",
     "lyapunov_continuous",

@@ -268,12 +268,7 @@ class AffineTerm:
 
 
 class _AffineSum(SmoothApprox):
-    """Weighted sum of smooth approximations composed with affine maps.
-
-    Sums whose terms are all one-dimensional sqrt or Huber surrogates
-    (the l1-of-residuals shape) are evaluated through a stacked
-    vectorized path; per-term evaluation would dominate solver runtime.
-    """
+    """Weighted sum of smooth approximations composed with affine maps."""
 
     def __init__(self, terms):
         if not terms:
@@ -281,7 +276,6 @@ class _AffineSum(SmoothApprox):
         dim = terms[0].matrix.shape[1]
         alpha = 0.0
         beta = 0.0
-        norms = []
         for i, term in enumerate(terms):
             if term.weight <= 0.0:
                 raise InvalidParameterError(
@@ -302,50 +296,25 @@ class _AffineSum(SmoothApprox):
                     f"term {i}: offset has shape {term.offset.shape}, expected ({rows},)"
                 )
             norm = spectral_norm(term.matrix)
-            norms.append(norm)
             alpha += term.weight * term.inner.params.alpha * norm * norm
             beta += term.weight * term.inner.params.beta
         self.input_dim = dim
         self.terms = tuple(terms)
-        self.term_norms = tuple(norms)
         # Rounded up: each product takes three roundings, the running sum one per term.
         self.params = SmoothingParams(upper(alpha, len(terms) + 3), beta)
-        kinds = {type(t.inner) for t in terms}
-        if len(kinds) == 1 and kinds.pop() in (_SqrtL2, _HuberL2) and all(
-            t.inner.input_dim == 1 for t in terms
-        ):
-            self._stack = (
-                np.vstack([t.matrix for t in terms]),
-                np.concatenate([t.offset for t in terms]),
-                np.array([t.weight for t in terms]),
-                isinstance(terms[0].inner, _HuberL2),
-            )
-        else:
-            self._stack = None
-
-    def point(self, x):
-        if self._stack is None:
-            return super().point(x)
-        return _StackedPoint(self._stack, self._check_input(x))
 
     def underlying_value(self, x):
-        if self._stack is not None:
-            return self.point(x).exact()
         x = self._check_input(x)
         return sum(
             t.weight * t.inner.underlying_value(t.matrix @ x + t.offset) for t in self.terms
         )
 
     def value(self, x, mu):
-        if self._stack is not None:
-            return self.point(x).value(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
         return sum(t.weight * t.inner.value(t.matrix @ x + t.offset, mu) for t in self.terms)
 
     def grad_x(self, x, mu):
-        if self._stack is not None:
-            return self.point(x).grad(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
         g = np.zeros(self.input_dim)
@@ -354,38 +323,93 @@ class _AffineSum(SmoothApprox):
         return g
 
     def grad_mu(self, x, mu):
-        if self._stack is not None:
-            return self.point(x).grad_mu(mu)
         x = self._check_input(x)
         mu = self._check_mu(mu)
         return sum(t.weight * t.inner.grad_mu(t.matrix @ x + t.offset, mu) for t in self.terms)
 
     def branch_distance(self, x, mu):
-        if self._stack is not None:
-            point = self.point(x)
-            if not self._stack[3]:
-                return math.inf
-            return float(np.min(np.abs(point.magnitudes() - mu)))
         x = self._check_input(x)
         return min(
             t.inner.branch_distance(t.matrix @ x + t.offset, mu) for t in self.terms
         )
 
 
-class _StackedPoint:
-    """The stacked l1-of-residuals sum at one x: r = C x + d is formed once.
+def affine_sum(terms):
+    """Combine affine-composed approximations into one.
+
+    The result's parameters follow the composition rule
+    ``alpha = sum w_i * alpha_i * ||A_i||_2^2`` and
+    ``beta = sum w_i * beta_i``, with certified upper bounds on the
+    spectral norms, so ``alpha`` is an upper bound as well.
+    """
+    return _AffineSum(list(terms))
+
+
+# The one-dimensional surrogate of |r| behind each name ``l1_residual`` takes.
+L1_SMOOTHERS = {"sqrt_l2": _SqrtL2, "huber_l2": _HuberL2}
+
+
+class _L1Residual(SmoothApprox):
+    """||C x - d||_1, each |c_i x - d_i| smoothed by one 1-d l2 surrogate."""
+
+    def __init__(self, c, d, smoothing):
+        if smoothing not in L1_SMOOTHERS:
+            raise InvalidParameterError(
+                f"unknown smoothing {smoothing!r}; choose from {sorted(L1_SMOOTHERS)}"
+            )
+        if c.ndim != 2 or c.size == 0:
+            raise DimensionMismatchError(f"C must be a non-empty 2-D array, got shape {c.shape}")
+        if d.shape != (c.shape[0],):
+            raise DimensionMismatchError(f"d has shape {d.shape}, expected ({c.shape[0]},)")
+        self.input_dim = c.shape[1]
+        self._c = c
+        self._d = d
+        self._ones = np.ones(c.shape[0])
+        self._huber = smoothing == "huber_l2"
+        # alpha_1 (1 for both) times ||C||_F^2, one dot product of c.size terms
+        # rounded up; SmoothingParams rejects a norm past the double range.
+        with np.errstate(over="ignore"):
+            square = float(c.ravel() @ c.ravel())
+        inner = L1_SMOOTHERS[smoothing](1).params
+        self.params = SmoothingParams(upper(square, c.size) * inner.alpha, len(d) * inner.beta)
+
+    def point(self, x):
+        return _L1Point(self, self._check_input(x))
+
+    def underlying_value(self, x):
+        return self.point(x).exact()
+
+    def value(self, x, mu):
+        return self.point(x).value(mu)
+
+    def grad_x(self, x, mu):
+        return self.point(x).grad(mu)
+
+    def grad_mu(self, x, mu):
+        return self.point(x).grad_mu(mu)
+
+    def branch_distance(self, x, mu):
+        if not self._huber:
+            return math.inf
+        return float(np.min(np.abs(self.point(x).magnitudes() - mu)))
+
+
+class _L1Point:
+    """``l1_residual`` at one x: r = C x - d is formed once.
 
     What depends on mu as well (``hypot(r, mu)`` for the sqrt smoother,
     the ``|r| <= mu`` mask for Huber) is kept for the last mu, so the
     gradient and the value at one mu share it, and mu is checked once
-    per value.
+    per value. Sums are dot products with a ones vector.
     """
 
-    __slots__ = ("_mat", "_w", "_huber", "_r", "_abs", "_mu", "_shared")
+    __slots__ = ("_mat", "_ones", "_huber", "_r", "_abs", "_mu", "_shared")
 
-    def __init__(self, stack, x):
-        self._mat, off, self._w, self._huber = stack
-        self._r = self._mat @ x + off
+    def __init__(self, term, x):
+        self._mat = term._c
+        self._ones = term._ones
+        self._huber = term._huber
+        self._r = self._mat @ x - term._d
         self._abs = None
         self._mu = math.nan  # unequal to every mu, so the first one is checked
 
@@ -409,13 +433,13 @@ class _StackedPoint:
             per = np.where(shared, a * a / (2.0 * mu), a - 0.5 * mu)
         else:
             per = shared - mu
-        return float(self._w @ per)
+        return float(self._ones @ per)
 
     def grad(self, mu):
         mu, shared = self._at_mu(mu)
         r = self._r
         coeff = np.where(shared, r / mu, np.sign(r)) if self._huber else r / shared
-        return self._mat.T @ (self._w * coeff)
+        return self._mat.T @ coeff
 
     def grad_mu(self, mu):
         mu, shared = self._at_mu(mu)
@@ -424,21 +448,20 @@ class _StackedPoint:
             per = np.where(shared, -a * a / (2.0 * mu * mu), -0.5)
         else:
             per = mu / shared - 1.0
-        return float(self._w @ per)
+        return float(self._ones @ per)
 
     def exact(self):
-        return float(self._w @ self.magnitudes())
+        return float(self._ones @ self.magnitudes())
 
 
-def affine_sum(terms):
-    """Combine affine-composed approximations into one.
+def l1_residual(c, d, smoothing):
+    """``||C x - d||_1`` with every residual smoothed by the named surrogate.
 
-    The result's parameters follow the composition rule
-    ``alpha = sum w_i * alpha_i * ||A_i||_2^2`` and
-    ``beta = sum w_i * beta_i``, with certified upper bounds on the
-    spectral norms, so ``alpha`` is an upper bound as well.
+    ``smoothing`` is ``"sqrt_l2"`` or ``"huber_l2"``, the 1-d surrogate
+    of each |c_i x - d_i|. By the composition rule the parameters are
+    ``alpha = alpha_1 ||C||_F^2``, rounded up, and ``beta = n_C beta_1``.
     """
-    return _AffineSum(list(terms))
+    return _L1Residual(np.asarray(c, dtype=float), np.asarray(d, dtype=float), smoothing)
 
 
 @dataclass

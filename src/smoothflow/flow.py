@@ -134,10 +134,18 @@ def weighted_mu_integral(mu_of_t, sigma, t0, t):
 
     Uses the design's closed form when it has one (constant, linear and
     exponential designs do); otherwise an adaptive Simpson estimate.
+    Past the double range it returns inf, never raises: a closed form
+    reads inf once it overflows, and a callable once the weight
+    exp(sigma (t - t0)) does, without running the quadrature.
     """
     closed = getattr(mu_of_t, "weighted_integral", None)
     if callable(closed):
-        return float(closed(sigma, t0, t))
+        try:
+            return float(closed(sigma, t0, t))
+        except OverflowError:
+            return math.inf
+    if math.isinf(_exp_or_inf(sigma * (t - t0))):
+        return math.inf
     return adaptive_simpson(
         lambda tau: math.exp(sigma * (tau - t0)) * float(mu_of_t(tau)), t0, t
     )

@@ -8,7 +8,8 @@ with A, C and the planted solution x* drawn from the package's
 reproducible normal sampler and b = A x*, d = C x*. Both residuals
 vanish at x*, so the optimal value is exactly 0 and x* is a known
 optimum. n_A >= n_x makes the quadratic part strongly convex with
-overwhelming probability; n_A < n_x forces sigma = 0.
+overwhelming probability; n_A < n_x forces sigma = 0. The config's
+``smoothing`` picks the per-row surrogate of the one ``l1_residual``.
 
 All serialization here is byte-deterministic for a fixed config/seed:
 floats are printed with 17 significant digits.
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .approx import AffineTerm, affine_sum, huber_l2_approx, sqrt_l2_approx
+from .approx import L1_SMOOTHERS, l1_residual
 from .errors import ConfigError
 from .problem import CompositeProblem, GradEvalCounter, quadratic_least_squares
 from .rng import Xoshiro256pp, standard_normal
@@ -47,9 +48,6 @@ __all__ = [
     "json_envelope",
 ]
 
-_SMOOTHERS = {"sqrt_l2": sqrt_l2_approx, "huber_l2": huber_l2_approx}
-
-
 @dataclass
 class ExperimentConfig:
     """Deserialized experiment description (see README for the schema)."""
@@ -68,9 +66,9 @@ class ExperimentConfig:
             raise ConfigError("n_x, n_A and n_C must all be >= 1")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
-        if self.smoothing not in _SMOOTHERS:
+        if self.smoothing not in L1_SMOOTHERS:
             raise ConfigError(
-                f"unknown smoothing {self.smoothing!r}; choose from {sorted(_SMOOTHERS)}"
+                f"unknown smoothing {self.smoothing!r}; choose from {sorted(L1_SMOOTHERS)}"
             )
 
     @classmethod
@@ -118,34 +116,23 @@ def generate_problem(cfg):
     """Build the seeded benchmark problem described by ``cfg``.
 
     Draw order is fixed (A row-major, then C row-major, then x*), so a
-    given seed always yields bit-identical data. The l1 term is the sum
-    over rows of one-dimensional smooth approximations of
-    |c_i^T x - d_i|; its parameters come out as
-    (sum_i ||c_i||^2, n_C) for the sqrt smoother, alpha rounded up.
+    given seed always yields bit-identical data. The l1 term is
+    ``l1_residual(C, d, cfg.smoothing)``; its parameters come out as
+    (||C||_F^2 rounded up, n_C beta_1), beta_1 = 1 for the sqrt
+    smoother and 1/2 for Huber.
     """
     rng = Xoshiro256pp(cfg.rng_seed)
     a = rng.normals((cfg.n_a, cfg.n_x))
     c = rng.normals((cfg.n_c, cfg.n_x))
     x_star = rng.normals(cfg.n_x)
     b = a @ x_star
-    # Offsets come from the same stacked matmul the composed term
-    # evaluates, so the residuals at x* are zero bit-for-bit and the
-    # optimal value is exactly 0.
+    # d comes from the same matmul the l1 term evaluates, so the
+    # residuals at x* are zero bit-for-bit and the optimal value is
+    # exactly 0.
     d = c @ x_star
-    smoother = _SMOOTHERS[cfg.smoothing]
-    terms = []
-    for i in range(cfg.n_c):
-        terms.append(
-            AffineTerm(
-                weight=1.0,
-                matrix=c[i : i + 1, :],
-                offset=-d[i : i + 1],
-                inner=smoother(1),
-            )
-        )
     return CompositeProblem(
         f=quadratic_least_squares(a, b),
-        h=affine_sum(terms),
+        h=l1_residual(c, d, cfg.smoothing),
         optimum=x_star,
         optimal_value=0.0,
     )

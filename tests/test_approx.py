@@ -11,6 +11,7 @@ from smoothflow import (
     affine_sum,
     certify,
     huber_l2_approx,
+    l1_residual,
     log_sum_exp_max_approx,
     sqrt_l2_approx,
 )
@@ -200,29 +201,28 @@ class TestAffineSum:
         assert combo.underlying_value(x) == pytest.approx(float(np.sum(np.abs(r))), rel=1e-14)
 
     def test_generic_path_matches_fast_path(self):
-        # Mixed inner types force the per-term path; a same-shape
-        # homogeneous sum takes the stacked path. Both must agree with
-        # the hand-rolled formula.
+        # Mixed inner types go through affine_sum's per-term path; the
+        # l1 shape is one l1_residual term. Both must agree with the
+        # hand-rolled formula.
         rng = Xoshiro256pp(17)
         c = rng.normals((4, 3))
-        terms_fast = [
-            AffineTerm(2.0, c[i : i + 1, :], np.zeros(1), sqrt_l2_approx(1))
-            for i in range(4)
-        ]
-        fast = affine_sum(terms_fast)
-        assert fast._stack is not None
+        fast = l1_residual(c, np.zeros(4), "sqrt_l2")
         x = rng.normals(3)
         mu = 0.7
         r = c @ x
-        expected = 2.0 * float(np.sum(np.sqrt(r * r + mu * mu) - mu))
+        expected = float(np.sum(np.sqrt(r * r + mu * mu) - mu))
         assert fast.value(x, mu) == pytest.approx(expected, rel=1e-14)
+        per_term = affine_sum(
+            AffineTerm(1.0, c[i : i + 1, :], np.zeros(1), sqrt_l2_approx(1)) for i in range(4)
+        )
+        assert fast.value(x, mu) == pytest.approx(per_term.value(x, mu), rel=1e-14)
+        assert np.allclose(fast.grad_x(x, mu), per_term.grad_x(x, mu), rtol=1e-14)
         # heterogeneous: sqrt + huber
         terms_mixed = [
             AffineTerm(1.0, c[0:1, :], np.zeros(1), sqrt_l2_approx(1)),
             AffineTerm(1.0, c[1:2, :], np.zeros(1), huber_l2_approx(1)),
         ]
         mixed = affine_sum(terms_mixed)
-        assert mixed._stack is None
         v0 = sqrt_l2_approx(1).value(c[0:1, :] @ x, mu)
         v1 = huber_l2_approx(1).value(c[1:2, :] @ x, mu)
         assert mixed.value(x, mu) == pytest.approx(v0 + v1, rel=1e-14)
@@ -230,12 +230,7 @@ class TestAffineSum:
     def test_huber_stack_matches_per_term(self):
         rng = Xoshiro256pp(23)
         c = rng.normals((6, 3))
-        terms = [
-            AffineTerm(1.0, c[i : i + 1, :], np.zeros(1), huber_l2_approx(1))
-            for i in range(6)
-        ]
-        combo = affine_sum(terms)
-        assert combo._stack is not None
+        combo = l1_residual(c, np.zeros(6), "huber_l2")
         x = rng.normals(3)
         for mu in (0.05, 0.5, 5.0):
             r = c @ x

@@ -238,14 +238,14 @@ def test_byte_determinism(tmp_path, command, payload, artifact):
 # updates the values and says why. They assume the matrix products round
 # as in the numpy/BLAS build they were recorded with.
 GOLDEN = {
-    ("sqrt_l2", "solve-sgm"): "e625eecd0f5821d04aeda174157ffbbf3eeaaaddf04aad357d0acbe7aa0907b6",
-    ("sqrt_l2", "solve-sgf-euler"): "723d62b3c2603e2bfb12fdf86ce5232546bf47275182b482cdbb91cdb35dea35",
+    ("sqrt_l2", "solve-sgm"): "0f189469815640e28099bc3a0ad838542c1e2e0b592ef6dc9d407aa42a7d8081",
+    ("sqrt_l2", "solve-sgf-euler"): "73a759b89f05361959d2f28da3d4d7dd52ee99e10131c7a1cf93be2deb8db12c",
     ("sqrt_l2", "solve-sgf-rk45"): "b7be5c200c149e8c285de08f1c368977cd5a4f9dd7e62719551d3660021bc2d1",
-    ("sqrt_l2", "compare"): "25209c803cd30d5eb73e957a7f584db7674fce071c8a80f038de08be5343a086",
-    ("huber_l2", "solve-sgm"): "fd052ac392c4b710ef9d08d7b145abac92b5b1679c40a0157b696bda452af6d1",
-    ("huber_l2", "solve-sgf-euler"): "2a0dec7de95446315e5c8372773f6ce8c49947b2764201739eccd4f55eec9cc5",
+    ("sqrt_l2", "compare"): "395cfb40eed2b7bc9404c8d0e31b8487b7d57f9be389913d3f5573b659dc1912",
+    ("huber_l2", "solve-sgm"): "afdaf3a4da81be04edc0fb985eecf336362d9601ccaa3f943143f354daf76f47",
+    ("huber_l2", "solve-sgf-euler"): "481dea8dea46088fc008a37b607a7070907e8826945dc45045daadd43db2e7f2",
     ("huber_l2", "solve-sgf-rk45"): "8d42deb9a5a566b8c647395d9a8af7f7ec32a276485ee967a18f852e13c9784c",
-    ("huber_l2", "compare"): "d1d5c82748abbee1269da1c081920eb6b45627a02629aeaa60e9dbe5530109ba",
+    ("huber_l2", "compare"): "1a34a9fd7f572f5b86caf6af8a0435fa89e5478dcaf07c731f99e21c6dc25e7d",
 }
 
 
@@ -275,8 +275,8 @@ OVERFLOWING = {
 # Same contract as GOLDEN, for the bound series and the rate fit (with
 # the subcommands' default flags).
 GOLDEN_BOUNDS = {
-    ("STRONG", "bounds"): "4f4b6dcad2f8704299c185d6c20655153d9d0c4ef321459bceae3b31fa058c69",
-    ("STRONG", "rate-fit"): "2fd08fb4a03495d628366db42608b04c87e4295aa83dd1998932b1d83308e475",
+    ("STRONG", "bounds"): "2376976b08d36ab817b9335eb0282b7bbec15b55f6c4bd3960f130553e93ebc5",
+    ("STRONG", "rate-fit"): "9bc289e6856596785daefc0f44c4369fb94bd6958d9d1bbbd3c4c151b1daa233",
     ("OVERFLOWING", "bounds"): "61813b2d8ff15c246e0b78fa7541600b23d62e709c3794308a77f8793e1a8d40",
 }
 

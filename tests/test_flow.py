@@ -551,3 +551,13 @@ class TestContinuousOverflow:
         )
         assert math.isfinite(got)
         assert got == pytest.approx(float(exact), rel=1e-6)
+
+    @pytest.mark.parametrize("design", [ConstantMu(1.0), ExponentialMu(1.0, 0.5)])
+    def test_weighted_integral_closed_form_reads_inf(self, design):
+        assert weighted_mu_integral(design, 100.0, 0.0, 10.0) == math.inf
+
+    def test_weighted_integral_callable_reads_inf_without_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flow, "adaptive_simpson", lambda *args: calls.append(args))
+        assert weighted_mu_integral(lambda t: 1.0, 100.0, 0.0, 10.0) == math.inf
+        assert calls == []

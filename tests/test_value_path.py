@@ -15,14 +15,15 @@ from smoothflow import (
     CompositeProblem,
     affine_sum,
     huber_l2_approx,
+    l1_residual,
     log_sum_exp_max_approx,
     quadratic_least_squares,
     smoothed_value,
     sqrt_l2_approx,
 )
+from smoothflow.approx import L1_SMOOTHERS
 from smoothflow.errors import InvalidParameterError
 
-SMOOTHERS = [sqrt_l2_approx, huber_l2_approx]
 PROPERTY = settings(max_examples=60, deadline=None)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -31,17 +32,11 @@ mus = st.floats(min_value=1e-4, max_value=10.0)
 x_scales = st.sampled_from([1e-3, 1.0, 30.0])
 
 
-def stacked_sum(rng, n_x, n_terms, smoother):
-    """The l1-of-residuals shape: one-row terms, one 1-d smoother."""
-    return affine_sum(
-        AffineTerm(
-            float(rng.uniform(0.1, 2.0)),
-            rng.standard_normal((1, n_x)),
-            rng.standard_normal(1),
-            smoother(1),
-        )
-        for _ in range(n_terms)
-    )
+def stacked_sum(rng, n_x, n_terms, smoothing):
+    """The l1-of-residuals shape: one l1_residual term, rows stacked in C."""
+    c = rng.standard_normal((n_terms, n_x))
+    d = rng.standard_normal(n_terms)
+    return l1_residual(c, d, smoothing), c, d
 
 
 def generic_sum(rng, n_x, n_terms):
@@ -62,23 +57,28 @@ def generic_sum(rng, n_x, n_terms):
 
 
 @PROPERTY
-@given(seeds, dims, st.integers(min_value=1, max_value=8), st.sampled_from(SMOOTHERS), mus, x_scales)
-def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoother, mu, scale):
+@given(
+    seeds,
+    dims,
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(sorted(L1_SMOOTHERS)),
+    mus,
+    x_scales,
+)
+def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoothing, mu, scale):
     rng = np.random.default_rng(seed)
-    h = stacked_sum(rng, n_x, n_terms, smoother)
-    assert h._stack is not None
+    h, c, d = stacked_sum(rng, n_x, n_terms, smoothing)
     x = scale * rng.standard_normal(n_x)
     value_at, exact = h.at(x)
     assert (value_at(mu), exact) == (h.value(x, mu), h.underlying_value(x))
-    # Against the 1-d smoothers term by term. The stacked path sums in
-    # another order and uses numpy's hypot, and sqrt(r^2 + mu^2) - mu
-    # cancels, so the tolerance is relative to the terms' magnitude.
-    residuals = [float((t.matrix @ x + t.offset)[0]) for t in h.terms]
-    scale_sum = sum(t.weight * (abs(r) + mu) for t, r in zip(h.terms, residuals))
-    ref_value = sum(
-        t.weight * t.inner.value(np.array([r]), mu) for t, r in zip(h.terms, residuals)
-    )
-    ref_exact = sum(t.weight * abs(r) for t, r in zip(h.terms, residuals))
+    # Against the 1-d smoothers row by row. The term sums in another
+    # order and uses numpy's hypot, and sqrt(r^2 + mu^2) - mu cancels,
+    # so the tolerance is relative to the rows' magnitude.
+    inner = L1_SMOOTHERS[smoothing](1)
+    residuals = [float(c[i] @ x - d[i]) for i in range(n_terms)]
+    scale_sum = sum(abs(r) + mu for r in residuals)
+    ref_value = sum(inner.value(np.array([r]), mu) for r in residuals)
+    ref_exact = sum(abs(r) for r in residuals)
     assert abs(value_at(mu) - ref_value) <= 1e-12 * scale_sum
     assert exact == pytest.approx(ref_exact, rel=1e-12, abs=1e-300)
 
@@ -101,7 +101,7 @@ def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
     f = quadratic_least_squares(rng.standard_normal((n_x + 2, n_x)), rng.standard_normal(n_x + 2))
     h = {
         "none": lambda: None,
-        "stacked": lambda: stacked_sum(rng, n_x, 5, huber_l2_approx),
+        "stacked": lambda: stacked_sum(rng, n_x, 5, "huber_l2")[0],
         "generic": lambda: generic_sum(rng, n_x, 3),
     }[kind]()
     p = CompositeProblem(f=f, h=h)
