@@ -159,8 +159,8 @@ def chord_weights(x):
     Both are 1/2 at x = 0 and positive for every real x. With
     x = sigma h, the integral of exp(-sigma (b - tau)) over [b - h, b]
     against the chord through (b - h, mu_a) and (b, mu_b) is
-    h (mu_a g(x) + mu_b q(x)). Returns ``(inf, inf)`` once e^-x
-    overflows. The bounds are for ``x`` as given: a relative error e in
+    h (mu_a g(x) + mu_b q(x)); each reads inf once it overflows (below
+    x = -722). The bounds are for ``x`` as given: a relative error e in
     ``x`` moves g and q by at most (|x| + 2) e of themselves.
     """
     if abs(x) < _SERIES_BELOW:
@@ -168,6 +168,15 @@ def chord_weights(x):
         for cg, cq in zip(_G_SERIES, _Q_SERIES):
             g = g * x + cg
             q = q * x + cq
+    elif x < -703.0:
+        # x e^-x overflows from x = -703.2, and 1 and x are far below an
+        # ulp of e^-x: q = w and g = (-x - 1) w with w = e^-x/x^2, formed
+        # as exp(-x - 2 log(-x)), whose exponent errs by at most 2.02 u (-x).
+        try:
+            w = math.exp(-x - 2.0 * math.log(-x))
+        except OverflowError:
+            return math.inf, math.inf
+        return upper((-x - 1.0) * w, 2.02 * -x + 4), upper(w, 2.02 * -x + 2)
     else:
         try:
             em = math.expm1(-x)

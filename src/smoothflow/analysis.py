@@ -9,7 +9,7 @@ rates to continuous-time rates.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +19,8 @@ from .schedule import advance, initial_state
 from .solver import bound_discrete
 
 
-@dataclass(frozen=True)
-class TimelineBounds:
-    """Closed-form sandwich values at one step index.
+class TimelineBounds(NamedTuple):
+    """Closed-form sandwich values at one step index, an immutable named tuple.
 
     ``t_lower``/``t_upper`` bracket t_k - t_0; ``mu_lower``/``mu_upper``
     bracket mu(t_k) given the actual elapsed time; ``k_lower``/``k_upper``

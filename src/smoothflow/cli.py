@@ -240,6 +240,17 @@ def _rk45_leg(cfg, problem):
     return samples, counter
 
 
+def _warn_gap_above_bound(samples, f_star):
+    """One stderr line if the integrated gap f_true - f* exceeds bound_ct anywhere."""
+    above = [s.t for s in samples if s.f_true - f_star > s.bound_ct]
+    if above:
+        print(
+            f"warning: f_true - f* > bound_ct at {len(above)} of {len(samples)} samples, "
+            f"first at t = {above[0]!r} (the bound is for the exact flow; try a smaller rtol)",
+            file=sys.stderr,
+        )
+
+
 def _cmd_solve_rk45(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
@@ -250,6 +261,7 @@ def _cmd_solve_rk45(args):
     else:
         envelope = json_envelope(cfg.to_dict(), {"samples": _flow_samples_json(samples)})
         _write(os.path.join(out, "flow_rk45.json"), envelope)
+    _warn_gap_above_bound(samples, problem.optimal_value)
     return _EXIT_OK
 
 

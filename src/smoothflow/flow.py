@@ -9,8 +9,7 @@ without an external solver.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -30,11 +29,13 @@ from .schedule import (
     LinearMu,
     ReciprocalMu,
     _exp_or_inf,
+    _expm1_or_inf,
 )
 from .solver import _lyapunov, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
-# property; the propagated solution is the 5th-order one.
+# property. The last row of a is b5 without its zero weight, so the
+# propagated 5th-order solution is the last stage's point.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -45,7 +46,6 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: local error weights of the embedded 4th-order solution.
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -62,10 +62,10 @@ _MIN_STEP_FRACTION = 1e-14
 _CONVEX_DESIGNS = (ConstantMu, LinearMu, ExponentialMu, ReciprocalMu)
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """State of the flow at one accepted step endpoint.
+class FlowSample(NamedTuple):
+    """State of the flow at one accepted step endpoint, an immutable named tuple.
 
+    ``x`` is the run's own state array, which the run never mutates.
     ``lyapunov_v`` and ``bound_ct`` are NaN when the problem's optimum
     is unknown; ``bound_ct`` is also NaN at the initial time where the
     bound is undefined. ``lyapunov_v`` reads inf once its weight
@@ -98,10 +98,7 @@ def _sigma_integral(sigma, delta):
     """I_sigma = (exp(sigma delta) - 1)/sigma, or delta at sigma 0; inf past the double range."""
     if sigma == 0.0:
         return delta
-    try:
-        return math.expm1(sigma * delta) / sigma
-    except OverflowError:
-        return math.inf
+    return _expm1_or_inf(sigma * delta) / sigma
 
 
 def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
@@ -227,7 +224,9 @@ def integrate_rk45(
     ``0.9 * (1/err)**(1/5)`` clamped to [0.2, 5]. The final step is
     clipped to land exactly on ``t_end``. Every right-hand-side
     evaluation is charged to ``counter``; with FSAL that is one
-    evaluation up front plus six per attempted step.
+    evaluation up front plus six per attempted step. The accepted state
+    is the last stage's point, so its sample reads F(x, mu) and F(x)
+    from the residuals that stage formed.
 
     Returns the list of ``FlowSample`` at t0 and every accepted step.
     ``bound_ct`` costs O(1) per sample for the four built-in designs:
@@ -259,11 +258,11 @@ def integrate_rk45(
         x0_dist_sq = float(diff0 @ diff0)
         smoothed_at_opt = problem.point(opt).smoothed
 
-    def rhs(t, y):
+    def rhs(t, point):
         mu = float(mu_of_t(t))
         if not (mu > 0.0):
             raise IllPosedIntervalError(f"mu(t) = {mu} at t = {t}")
-        g = smoothed_grad(problem, y, mu, counter)
+        g = smoothed_grad(problem, point, mu, counter)
         # Without this check a NaN stage only shrinks h until it underflows.
         if not np.isfinite(g).all():
             raise NumericalDivergenceError(
@@ -291,60 +290,53 @@ def integrate_rk45(
         t_last, mu_last = t, mu_hi
         return bnd
 
-    def sample_at(t, y):
+    def sample_at(t, point):
         mu = float(mu_of_t(t))
-        smoothed_at_y, f_true = problem.at(y)
         if has_optimum:
             delta = t - t0
             lyap = _lyapunov(
-                y,
+                point.x,
                 opt,
                 _exp_or_inf(sigma * delta),
                 _sigma_integral(sigma, delta),
-                smoothed_at_y(mu),
+                point.smoothed(mu),
                 beta,
                 mu,
                 smoothed_at_opt(mu),
             )
             bnd = bound_at(t, mu)
         else:
-            lyap = math.nan
-            bnd = math.nan
-        return FlowSample(
-            t=t,
-            x=y.copy(),
-            mu=mu,
-            f_true=f_true,
-            lyapunov_v=lyap,
-            bound_ct=bnd,
-            grad_evals=counter.count,
-        )
+            lyap = bnd = math.nan
+        return FlowSample(t, point.x, mu, point.exact(), lyap, bnd, counter.count)
 
-    samples: List[FlowSample] = [sample_at(t0, x)]
+    # One point per state: the stage gradient and, once the state is
+    # accepted, its sample read the same residuals.
+    point = problem.point(x)
+    samples: List[FlowSample] = [sample_at(t0, point)]
     span = t_end - t0
     h = _INITIAL_STEP_FRACTION * span
     min_step = _MIN_STEP_FRACTION * span
     t = t0
     k_mat = np.empty((7, x.size))  # stage derivatives; row 0 is FSAL's carry
-    k_mat[0] = rhs(t, x)
+    k_mat[0] = rhs(t, point)
     for _ in range(max_attempts):
         remaining = t_end - t
         h_try = min(h, remaining)
         if h_try < min_step:
             raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
         for i in range(1, 7):
-            yi = x + h_try * (_DP_A[i] @ k_mat[:i])
-            k_mat[i] = rhs(t + _DP_C[i] * h_try, yi)
-        x_new = x + h_try * (_DP_B5 @ k_mat)
+            point = problem.point(x + h_try * (_DP_A[i] @ k_mat[:i]))
+            k_mat[i] = rhs(t + _DP_C[i] * h_try, point)
+        # The last stage's point is the 5th-order solution.
         err_vec = h_try * (_DP_ERR @ k_mat)
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(point.x))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
             # Land exactly on t_end when the step was clipped to it.
             t = t_end if h_try == remaining else t + h_try
-            x = x_new
+            x = point.x
             k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
-            samples.append(sample_at(t, x))
+            samples.append(sample_at(t, point))
             if t >= t_end:
                 return samples
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** (-0.2)

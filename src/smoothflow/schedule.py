@@ -16,7 +16,7 @@ method converges.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,14 @@ def _exp_or_inf(log_value):
     """exp(log_value), or inf once the value is past the double range."""
     try:
         return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
+def _expm1_or_inf(x):
+    """expm1(x), or inf once the value is past the double range."""
+    try:
+        return math.expm1(x)
     except OverflowError:
         return math.inf
 
@@ -164,7 +172,7 @@ class LinearMu:
 
         mu is its own chord, so with x = sigma (t - t0) the integral is
         (t - t0) (mu(t0) q(-x) + mu(t) g(-x)) in the terms of
-        ``chord_weights``; inf once e^x overflows. x carries the
+        ``chord_weights``; inf past the double range. x carries the
         rounding of t - t0 and of the product, 2.01 u of itself.
         """
         delta = t - t0
@@ -201,13 +209,16 @@ class ExponentialMu:
         return upper(mu, 2.02 * self.gamma * abs(t - self.t0) + 4)
 
     def weighted_integral(self, sigma, t0, t):
-        """Closed form of int_{t0}^{t} exp(sigma*(tau-t0)) * mu(tau) dtau."""
+        """Closed form of int_{t0}^{t} exp(sigma*(tau-t0)) * mu(tau) dtau.
+
+        inf once the value is past the double range.
+        """
         delta = t - t0
         rate = self.gamma - sigma
         mu_start = self(t0)  # exactly mu0 when t0 is the design's own origin
         if rate == 0.0:
             return mu_start * delta
-        return mu_start * -math.expm1(-rate * delta) / rate
+        return mu_start * -_expm1_or_inf(-rate * delta) / rate
 
     def describe(self):
         return f"exponential(mu0={self.mu0:g},gamma={self.gamma:g})"
@@ -258,17 +269,20 @@ class ConstantMu:
         return mu
 
     def weighted_integral(self, sigma, t0, t):
+        """Closed form of int_{t0}^{t} exp(sigma*(tau-t0)) * mu0 dtau.
+
+        inf once the value is past the double range.
+        """
         delta = t - t0
         if sigma == 0.0:
             return self.mu0 * delta
-        return self.mu0 * math.expm1(sigma * delta) / sigma
+        return self.mu0 * _expm1_or_inf(sigma * delta) / sigma
 
     def describe(self):
         return f"constant(mu0={self.mu0:g})"
 
 
-@dataclass(frozen=True)
-class ScheduleState:
+class ScheduleState(NamedTuple):
     """Per-step snapshot of the schedule recursion.
 
     ``eta`` and the eta-weighted sums are kept both linearly and in log
@@ -276,7 +290,8 @@ class ScheduleState:
     the log values take over transparently once eta grows past that
     (eta grows like exp(sigma * t_k)). ``sum_eta_s`` and
     ``sum_eta_mu_s`` read inf once the sums themselves leave the double
-    range; the log values stay exact.
+    range; the log values stay exact. An immutable named tuple:
+    ``_replace`` makes a modified copy.
     """
 
     k: int
@@ -315,17 +330,7 @@ def initial_state(sched, lipschitz, alpha):
     if not (mu0 > MU_FLOOR):
         raise ScheduleExhaustedError(f"initial smoothing parameter {mu0} is not positive")
     return ScheduleState(
-        k=0,
-        t=t0,
-        mu=mu0,
-        s=step_size(lipschitz, alpha, mu0),
-        sum_s=0.0,
-        eta_lin=1.0,
-        sum_eta_s_lin=0.0,
-        sum_eta_mu_s_lin=0.0,
-        log_eta=0.0,
-        log_sum_eta_s=-math.inf,
-        log_sum_eta_mu_s=-math.inf,
+        0, t0, mu0, step_size(lipschitz, alpha, mu0), 0.0, 1.0, 0.0, 0.0, 0.0, -math.inf, -math.inf
     )
 
 
@@ -355,19 +360,17 @@ def advance(sched, state, sigma, lipschitz, alpha):
             f"smoothing parameter exhausted at k={k_next}, t={t_next!r} (mu={mu_next!r})"
         )
     return ScheduleState(
-        k=k_next,
-        t=t_next,
-        mu=float(mu_next),
-        s=step_size(lipschitz, alpha, mu_next),
-        sum_s=state.sum_s + s_k,
-        eta_lin=eta_next,
-        sum_eta_s_lin=state.sum_eta_s_lin + eta_next * s_k,
-        sum_eta_mu_s_lin=state.sum_eta_mu_s_lin + eta_next * mu_k * s_k,
-        log_eta=log_eta_next,
-        log_sum_eta_s=logaddexp(state.log_sum_eta_s, log_eta_next + log_s),
-        log_sum_eta_mu_s=logaddexp(
-            state.log_sum_eta_mu_s, log_eta_next + log_s + math.log(mu_k)
-        ),
+        k_next,
+        t_next,
+        float(mu_next),
+        step_size(lipschitz, alpha, mu_next),
+        state.sum_s + s_k,
+        eta_next,
+        state.sum_eta_s_lin + eta_next * s_k,
+        state.sum_eta_mu_s_lin + eta_next * mu_k * s_k,
+        log_eta_next,
+        logaddexp(state.log_sum_eta_s, log_eta_next + log_s),
+        logaddexp(state.log_sum_eta_mu_s, log_eta_next + log_s + math.log(mu_k)),
     )
 
 

@@ -8,7 +8,7 @@ certificate and the analytical optimality-gap bound.
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -27,10 +27,10 @@ STATUS_SCHEDULE = "schedule-exhausted"
 STATUS_TOLERANCE = "tolerance-met"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One retained iterate.
+class IterationRecord(NamedTuple):
+    """One retained iterate, an immutable named tuple.
 
+    ``x`` is the run's own iterate array, which the run never mutates.
     ``grad_evals`` is the number of gradient evaluations spent to reach
     this iterate (so the initial record carries 0). ``grad_norm`` at the
     final record comes from an uncharged diagnostic evaluation.
@@ -226,17 +226,7 @@ def run_sgm(
             lyap = bnd = math.nan
         records.append(
             IterationRecord(
-                k=k,
-                t=st.t,
-                s=st.s,
-                mu=st.mu,
-                x=point.x.copy(),
-                f_tilde=f_tilde,
-                f_true=point.exact(),
-                grad_norm=grad_norm,
-                lyapunov=lyap,
-                bound=bnd,
-                grad_evals=evals,
+                k, st.t, st.s, st.mu, point.x, f_tilde, point.exact(), grad_norm, lyap, bnd, evals
             )
         )
 

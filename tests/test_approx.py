@@ -15,6 +15,7 @@ from smoothflow import (
     log_sum_exp_max_approx,
     sqrt_l2_approx,
 )
+from smoothflow.approx import _norm
 from smoothflow.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -334,3 +335,48 @@ def test_smoothness_constant_on_sampled_pairs(factory):
         lhs = float(np.linalg.norm(a.grad_x(x, mu) - a.grad_x(y, mu)))
         rhs = (alpha / mu) * (1.0 + 1e-9) * float(np.linalg.norm(x - y))
         assert lhs <= rhs + 1e-12
+
+
+# certify's reports before its norms became dot products and its finite
+# differences shared one perturbation buffer; every field must repeat.
+CERTIFY_PINNED = {
+    "sqrt_l2": (sqrt_l2_approx(9), 1, 2.3975312009279706e-09, 7.678690225456105e-09, 0.0),
+    "huber_l2": (huber_l2_approx(7), 2, 8.891876112291001e-10, 8.137383240913336e-09, 0.0),
+    "log_sum_exp": (log_sum_exp_max_approx(5), 3, 3.2828263976476117e-09, 2.502464209026177e-09, 0.0),
+    "l1_residual": (None, 4, 2.021507933735287e-09, 3.4603327766725645e-08, 2.1316282072803006e-14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_PINNED))
+def test_certify_reports_repeat_bit_for_bit(name):
+    approx, seed, grad_x_rel, grad_mu_rel, sandwich_high = CERTIFY_PINNED[name]
+    if approx is None:
+        rng = Xoshiro256pp(20240601)
+        c = rng.normals((12, 9))
+        approx = l1_residual(c, rng.normals(12), "huber_l2")
+    report = certify(approx, 200, rng_seed=seed)
+    expected = dict(
+        sample_count=200,
+        rng_seed=seed,
+        checked_fd_samples=200,
+        excluded_fd_samples=0,
+        sandwich_low=0.0,
+        sandwich_high=sandwich_high,
+        grad_mu_low=0.0,
+        grad_mu_high=0.0,
+        grad_x_fd_rel=grad_x_rel,
+        grad_mu_fd_rel=grad_mu_rel,
+        smoothness_excess=0.0,
+        convexity_gap=0.0,
+    )
+    assert {key: getattr(report, key) for key in expected} == expected
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-3, 1.0, 1e150, 1e200])
+def test_norm_is_numpys_bit_for_bit(scale):
+    rng = Xoshiro256pp(99)
+    for dim in (1, 2, 7, 50):
+        x = rng.normals(dim) * scale
+        with np.errstate(over="ignore"):
+            expected = float(np.linalg.norm(x))
+            assert _norm(x) == expected

@@ -383,3 +383,28 @@ def test_record_stride_below_one_is_config_error(tmp_path, capsys, stride):
     cfg = write_config(tmp_path, dict(STRONG, run={"max_steps": 40, "record_stride": stride}))
     assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "record_stride" in capsys.readouterr().err
+
+
+def test_rk45_warns_once_when_gap_exceeds_bound(tmp_path, capsys):
+    # At the default rtol 1e-3 this run's f_true - f* exceeds bound_ct at
+    # 29 samples from t = 5.65 (see test_gap_below_bound_past_overflow_exp).
+    payload = dict(OVERFLOWING_FLOW, schedule=EXP_MU, run={"t_end": 6.0})
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    cols = flow_columns(out / "flow_rk45.csv")
+    above = [t for t, f, b in zip(cols["t"], cols["f_true"], cols["bound_ct"]) if f > b]
+    assert len(above) == 29 and 5.65 < above[0] < 5.66
+    assert f" {len(above)} of {len(cols['t'])} samples" in err
+    assert f"first at t = {above[0]!r}" in err
+    assert file_hash(out / "flow_rk45.csv") == (
+        "43ceb2cf70fda776edee5c9c7771acede8676742f692b1264d8dcbe9986ff2da"
+    )
+
+
+def test_rk45_tight_run_prints_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, RECIPROCAL)
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

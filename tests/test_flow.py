@@ -532,6 +532,20 @@ class TestLinearClosedForm:
     def test_inf_past_the_double_range(self):
         assert LinearMu(1.0, 0.1, t0=0.0).weighted_integral(1000.0, 0.0, 1.0) == math.inf
 
+    # sigma (t - t0) = 704.9 and 710.2: x e^x, then e^x itself overflow,
+    # while the integral still fits in a double.
+    @pytest.mark.parametrize("sigma", [401.0, 404.0])
+    def test_finite_where_e_x_overflows(self, sigma):
+        mu0, rate, frac = 0.703125, 0.28125, 0.703125
+        t = 1.0 + frac * mu0 / rate
+        got = LinearMu(mu0, rate, t0=1.0).weighted_integral(sigma, 1.0, t)
+        with mpmath.workdps(DIGITS):
+            s, m, r = mpmath.mpf(sigma), mpmath.mpf(mu0), mpmath.mpf(rate)
+            exact = mpmath.quad(
+                lambda tau: mpmath.exp(s * (tau - 1)) * (m - r * (tau - 1)), [1, mpmath.mpf(t)]
+            )
+        assert exact <= got <= exact * (1 + 1e-12)
+
 
 class TestContinuousOverflow:
     def test_lyapunov_weight_reads_inf(self, strongly_convex_problem):

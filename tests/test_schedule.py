@@ -315,3 +315,23 @@ def test_logaddexp_equals_numpy_bit_for_bit(pair):
     with np.errstate(all="ignore"):
         expected = float(np.logaddexp(x, y))
     assert float_bits(logaddexp(x, y)) == float_bits(expected)
+
+
+@pytest.mark.parametrize("design", [ConstantMu(1.0), ExponentialMu(1.0, 0.5)])
+def test_weighted_integral_reads_inf_past_the_double_range(design):
+    assert design.weighted_integral(100.0, 0.0, 10.0) == math.inf
+    assert design.weighted_integral(1e300, 0.0, 1e10) == math.inf
+
+
+@pytest.mark.parametrize("sigma, t0, t", [(0.5, 0.0, 3.0), (2.0, 1.0, 1.25), (7.0, -1.0, 50.0), (1e-9, 0.0, 1e3)])
+def test_weighted_integral_finite_values_unchanged(sigma, t0, t):
+    # The formulas as they were before the overflow guard, bit for bit.
+    constant = ConstantMu(1.7)
+    assert float_bits(constant.weighted_integral(sigma, t0, t)) == float_bits(
+        1.7 * math.expm1(sigma * (t - t0)) / sigma
+    )
+    exponential = ExponentialMu(1.3, 0.75, t0=-0.5)
+    rate = 0.75 - sigma
+    assert float_bits(exponential.weighted_integral(sigma, t0, t)) == float_bits(
+        exponential(t0) * -math.expm1(-rate * (t - t0)) / rate
+    )

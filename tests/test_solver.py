@@ -307,13 +307,7 @@ class TestBoundDiscrete:
         for _ in range(50):
             state = advance(sched, state, 0.9, 1.0, 1.0)
         lin = bound_discrete(state, 2.0, 1.5)
-        forced = state.__class__(
-            **{
-                **state.__dict__,
-                "sum_eta_s_lin": math.inf,
-                "sum_eta_mu_s_lin": math.inf,
-            }
-        )
+        forced = state._replace(sum_eta_s_lin=math.inf, sum_eta_mu_s_lin=math.inf)
         assert bound_discrete(forced, 2.0, 1.5) == pytest.approx(lin, rel=1e-11)
 
 
