@@ -44,17 +44,21 @@ def lower(x, roundings):
 def _frobenius(x):
     """An upper bound on the Frobenius norm of ``x``.
 
-    When the squares overflow, the entries are scaled by a power of two
-    taken from the largest one and squared again. The scaling is exact
-    but for entries it takes below 2**-1022, whose squares are far below
-    one rounding of the scaled sum (at least 1/4).
+    When the squares overflow, or their sum is below 2**-900, where
+    squares that underflow are no longer far below one rounding of it,
+    the entries are scaled by a power of two taken from the largest one
+    and squared again. The scaling is exact but for entries it takes
+    below 2**-1022, whose squares are far below one rounding of the
+    scaled sum (at least 1/4), and for a subnormal norm, which the last
+    step up covers.
     """
     x = x.ravel()
     square = float(x @ x)
-    if math.isinf(square):
-        scale = 2.0 ** -math.frexp(float(abs(x).max()))[1]  # largest entry now in [1/2, 1)
-        x = x * scale
-        return upper(math.sqrt(float(x @ x)), x.size + 2) / scale
+    if math.isinf(square) or square < 2.0**-900:
+        exp = math.frexp(float(abs(x).max()))[1]
+        x = np.ldexp(x, -exp)  # largest entry now in [1/2, 1)
+        norm = upper(math.sqrt(float(x @ x)), x.size + 2)
+        return norm / 2.0**-exp if exp > 0 else math.nextafter(norm * 2.0**exp, math.inf)
     return upper(math.sqrt(square), x.size + 2)
 
 
@@ -159,24 +163,17 @@ def chord_weights(x):
     Both are 1/2 at x = 0 and positive for every real x. With
     x = sigma h, the integral of exp(-sigma (b - tau)) over [b - h, b]
     against the chord through (b - h, mu_a) and (b, mu_b) is
-    h (mu_a g(x) + mu_b q(x)); each reads inf once it overflows (below
-    x = -722). The bounds are for ``x`` as given: a relative error e in
-    ``x`` moves g and q by at most (|x| + 2) e of themselves.
+    h (mu_a g(x) + mu_b q(x)). g reads inf from x = -703.2, where
+    x e^-x overflows, and q from -709.8; ``LinearMu.weighted_integral``
+    forms its products below -703 without them. The bounds are for ``x``
+    as given: a relative error e in ``x`` moves g and q by at most
+    (|x| + 2) e of themselves.
     """
     if abs(x) < _SERIES_BELOW:
         g = q = 0.0
         for cg, cq in zip(_G_SERIES, _Q_SERIES):
             g = g * x + cg
             q = q * x + cq
-    elif x < -703.0:
-        # x e^-x overflows from x = -703.2, and 1 and x are far below an
-        # ulp of e^-x: q = w and g = (-x - 1) w with w = e^-x/x^2, formed
-        # as exp(-x - 2 log(-x)), whose exponent errs by at most 2.02 u (-x).
-        try:
-            w = math.exp(-x - 2.0 * math.log(-x))
-        except OverflowError:
-            return math.inf, math.inf
-        return upper((-x - 1.0) * w, 2.02 * -x + 4), upper(w, 2.02 * -x + 2)
     else:
         try:
             em = math.expm1(-x)

@@ -67,11 +67,6 @@ class SmoothApprox:
         """
         return _ApproxPoint(self, self._check_input(x))
 
-    def at(self, x):
-        """Partial evaluation at ``x``: ``(mu -> value(x, mu), underlying_value(x))``."""
-        point = self.point(x)
-        return point.value, point.exact()
-
     def branch_distance(self, x, mu):
         """Distance from ``x`` to the nearest non-smooth formula branch.
 
@@ -560,8 +555,7 @@ def certify(
     )
 
     for _ in range(sample_count):
-        x = rng.normals(dim) * x_scale
-        y = rng.normals(dim) * x_scale
+        x, y = rng.normals((2, dim)) * x_scale
         mu = math.exp(log_lo + (log_hi - log_lo) * rng.uniform())
 
         val = approx.value(x, mu)

@@ -202,11 +202,6 @@ class CompositeProblem:
         """One evaluation of F at ``x``; see ``CompositePoint``."""
         return CompositePoint(self, x)
 
-    def at(self, x):
-        """Partial evaluation at ``x``: ``(mu -> F(x, mu), F(x))``."""
-        point = self.point(x)
-        return point.smoothed, point.exact()
-
     def true_value(self, x):
         """F(x) with the exact (non-smoothed) h."""
         return self.point(x).exact()

@@ -174,12 +174,30 @@ class LinearMu:
         (t - t0) (mu(t0) q(-x) + mu(t) g(-x)) in the terms of
         ``chord_weights``; inf past the double range. x carries the
         rounding of t - t0 and of the product, 2.01 u of itself.
+
+        From x = 703 on, 1 and x are far below an ulp of e^x, so
+        q(-x) = w and g(-x) = (x - 1) w with w = e^x/x^2. The integral
+        (t - t0) w (mu(t0) + (x - 1) mu(t)) is then one exp of a sum of
+        logs, so it reads inf only when it leaves the double range, not
+        when g, q or a product with mu alone does.
         """
         delta = t - t0
         x = sigma * delta
-        g, q = chord_weights(-x)
         mu_a = self._upper_mu(t0, self(t0))
         mu_b = self._upper_mu(t, self(t))
+        if x > 703.0:
+            # The exponent errs by at most u (4.06 x + 3 |log scale| + 4.01):
+            # 2.02 u x carried from x, 4 u log x < 0.04 u x from log x,
+            # u x and u (x + |log scale|) from the two sums, 4.01 u from
+            # the scale's four roundings and 2 u |log scale| from its log.
+            # exp adds 2 u.
+            log_scale = math.log(delta * (mu_a + (x - 1.0) * mu_b))
+            try:
+                value = math.exp(x - 2.0 * math.log(x) + log_scale)
+            except OverflowError:
+                return math.inf
+            return upper(value, 4.1 * x + 3.0 * abs(log_scale) + 8)
+        g, q = chord_weights(-x)
         return upper(delta * (mu_a * q + mu_b * g), 4 + 2.02 * (x + 2.0))
 
     def describe(self):

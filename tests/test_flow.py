@@ -546,6 +546,19 @@ class TestLinearClosedForm:
             )
         assert exact <= got <= exact * (1 + 1e-12)
 
+    # sigma (t - t0) = 716, 719, 722: mu(t) g overflows at 716, g itself
+    # from 716.3, while the integral still fits in a double.
+    @pytest.mark.parametrize("x, mu_end", [(716.0, 4.0), (719.0, 2.0**-4), (722.0, 2.0**-9)])
+    def test_finite_where_mu_g_overflows(self, x, mu_end):
+        delta, rate = 2.0**-4, 2.0**-4
+        mu0 = mu_end + rate * delta
+        got = LinearMu(mu0, rate, t0=1.0).weighted_integral(x / delta, 1.0, 1.0 + delta)
+        with mpmath.workdps(DIGITS):
+            s, m, r, d = (mpmath.mpf(v) for v in (x / delta, mu0, rate, delta))
+            grown = mpmath.expm1(s * d)
+            exact = m * grown / s - r * (d * (grown + 1) / s - grown / s**2)
+        assert exact <= got <= exact * (1 + 1e-12)
+
 
 class TestContinuousOverflow:
     def test_lyapunov_weight_reads_inf(self, strongly_convex_problem):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from smoothflow import (
     integrate_rk45,
     run_sgm,
 )
+from smoothflow import harness
 from smoothflow.errors import ConfigError
 from smoothflow.harness import (
     FLOW_COLUMNS,
@@ -97,6 +99,35 @@ class TestGenerateProblem:
     def test_huber_smoothing_selectable(self):
         p = generate_problem(small_config(smoothing="huber_l2"))
         assert p.beta == pytest.approx(0.5 * 5)
+
+    # sha256 over the bytes of A, C and x* and the generator's state words
+    # and spare (NaN for none) after a medium build, recorded with the
+    # scalar polar loop before large draws ran as lanes; each build now
+    # draws its 70,100 normals on the lane path.
+    MEDIUM_BUILD_SHA256 = {
+        0: "067c22f2e938e2a381466d56e68a6d4b383ec936fc7e29859f3ca4d35ab9470e",
+        1: "2776bcddd29ea4ec1551485ecd7538c3834572f5984baed48e99a3d942ee5257",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(MEDIUM_BUILD_SHA256))
+    def test_medium_build_bytes_pinned(self, seed, monkeypatch):
+        made = []
+
+        class Recording(Xoshiro256pp):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "Xoshiro256pp", Recording)
+        p = generate_problem(ExperimentConfig(n_x=100, n_a=200, n_c=500, rng_seed=seed))
+        (rng,) = made
+        digest = hashlib.sha256()
+        for array in (p.f.point.args[0], p.h._c, p.optimum):
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        digest.update(np.array(rng._s, dtype="<u8").tobytes())
+        spare = math.nan if rng._spare is None else rng._spare
+        digest.update(np.array([spare], dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.MEDIUM_BUILD_SHA256[seed]
 
 
 class TestScheduleFromConfig:

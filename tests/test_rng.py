@@ -4,8 +4,19 @@ by an independent C implementation of splitmix64-seeded xoshiro256++ with
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from smoothflow.rng import Xoshiro256pp, standard_normal
+from smoothflow.rng import (
+    _BLOCK_WORDS,
+    _LANE_BITS,
+    _LANE_CROSSOVER,
+    Xoshiro256pp,
+    _jump,
+    _jump_bytes,
+    _jump_rows,
+    standard_normal,
+)
 
 GOLDEN_U64 = {
     42: [
@@ -121,3 +132,65 @@ def test_normals_equal_repeated_normal(shape, pending):
         assert batch.tobytes() == singles.tobytes()
     assert a.normal() == b.normal()
     assert a.next_u64() == b.next_u64()
+
+
+# Sizes around the lane path's edges: the crossover, a block of words and
+# a medium build's 70,100 normals.
+LANE_SIZES = [
+    0,
+    1,
+    7,
+    _LANE_CROSSOVER - 1,
+    _LANE_CROSSOVER,
+    _LANE_CROSSOVER + 1,
+    _BLOCK_WORDS - 1,
+    _BLOCK_WORDS,
+    _BLOCK_WORDS + 1,
+    70_100,
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.lists(
+        st.sampled_from(LANE_SIZES) | st.integers(2, 3 * _LANE_CROSSOVER), min_size=3, max_size=3
+    ),
+)
+@example(1, True, [_LANE_CROSSOVER - 1, _LANE_CROSSOVER, _LANE_CROSSOVER + 1])
+@example(7, True, [_BLOCK_WORDS - 1, _BLOCK_WORDS, _BLOCK_WORDS + 1])
+@example(2**64 - 1, False, [70_100, 1, 0])
+@example(0, True, [0, 1, 7])
+def test_lane_draws_equal_repeated_normal(seed, pending, sizes):
+    # Three chained calls, the first after a pending spare or not; the
+    # state and the spare must match after each.
+    a = Xoshiro256pp(seed)
+    b = Xoshiro256pp(seed)
+    if pending:
+        assert a.normal() == b.normal()
+    for size in sizes:
+        batch = a.normals(size)
+        singles = np.array([b.normal() for _ in range(size)])
+        assert batch.tobytes() == singles.tobytes()
+        assert (a._s, a._spare) == (b._s, b._spare)
+    assert a.next_u64() == b.next_u64()
+    assert a.normal() == b.normal()
+
+
+@pytest.mark.parametrize("bits", [0, 1, 3, _LANE_BITS])
+def test_jump_table_equals_scalar_steps(bits):
+    seed_rng = Xoshiro256pp(bits + 11)
+    state = [seed_rng.next_u64() for _ in range(4)]
+    rows = _jump_rows(bits)
+    jumped = [0, 0, 0, 0]
+    for i in range(256):
+        if state[i // 64] >> (i % 64) & 1:
+            jumped = [w ^ int(r) for w, r in zip(jumped, rows[i])]
+    stepped = Xoshiro256pp(0)
+    stepped._s = list(state)
+    for _ in range(1 << bits):
+        stepped.next_u64()
+    assert jumped == stepped._s
+    packed = _jump(_jump_bytes(rows), np.array(state, dtype="<u8"))
+    assert [int(w) for w in packed] == stepped._s

@@ -1,8 +1,9 @@
-"""Property tests for the partial-evaluation path ``at(x)``.
+"""Property tests for the partial-evaluation path ``point(x)``.
 
-``SmoothApprox.at`` and ``CompositeProblem.at`` return
-``(mu -> smoothed value at x, exact value at x)`` from one pass over
-``x``; the solvers' monitors read every recorded value through them.
+``SmoothApprox.point(x)`` gives ``value(mu)`` and ``exact()``, and
+``CompositeProblem.point(x)`` gives ``smoothed(mu)`` and ``exact()``,
+from one pass over ``x``; the solvers' monitors read every recorded
+value through them.
 """
 
 import numpy as np
@@ -69,7 +70,8 @@ def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoothing, mu, scale)
     rng = np.random.default_rng(seed)
     h, c, d = stacked_sum(rng, n_x, n_terms, smoothing)
     x = scale * rng.standard_normal(n_x)
-    value_at, exact = h.at(x)
+    point = h.point(x)
+    value_at, exact = point.value, point.exact()
     assert (value_at(mu), exact) == (h.value(x, mu), h.underlying_value(x))
     # Against the 1-d smoothers row by row. The term sums in another
     # order and uses numpy's hypot, and sqrt(r^2 + mu^2) - mu cancels,
@@ -89,7 +91,8 @@ def test_generic_sum_matches_value_and_underlying(seed, n_x, n_terms, mu, scale)
     rng = np.random.default_rng(seed)
     h = generic_sum(rng, n_x, n_terms)
     x = scale * rng.standard_normal(n_x)
-    value_at, exact = h.at(x)
+    point = h.point(x)
+    value_at, exact = point.value, point.exact()
     assert value_at(mu) == pytest.approx(h.value(x, mu), rel=1e-12, abs=1e-300)
     assert exact == pytest.approx(h.underlying_value(x), rel=1e-12, abs=1e-300)
 
@@ -106,7 +109,8 @@ def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
     }[kind]()
     p = CompositeProblem(f=f, h=h)
     x = scale * rng.standard_normal(n_x)
-    smoothed, exact = p.at(x)
+    point = p.point(x)
+    smoothed, exact = point.smoothed, point.exact()
     fx = f.value(x)
     if h is None:
         expected = [float(fx), float(fx)]
