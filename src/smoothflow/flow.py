@@ -15,6 +15,7 @@ import numpy as np
 
 from ._linalg import adaptive_simpson, chord_weights, lower, upper
 from .errors import (
+    DimensionMismatchError,
     IllPosedIntervalError,
     InvalidParameterError,
     NumericalDivergenceError,
@@ -36,7 +37,7 @@ from .solver import _lyapunov, run_sgm
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
 # property. The last row of a is b5 without its zero weight, so the
 # propagated 5th-order solution is the last stage's point.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -228,6 +229,14 @@ def integrate_rk45(
     is the last stage's point, so its sample reads F(x, mu) and F(x)
     from the residuals that stage formed.
 
+    The stage matrix holds ``+grad F``, so a stage state is
+    ``x - h * (a_i @ K)``: the negation the right-hand side would carry
+    is exact, and the error estimate is only squared. Finiteness of the
+    stage gradients is tested once per attempt, after its six stages: a
+    failing attempt's remaining stages are still evaluated and charged
+    (from non-finite states, where numpy may warn), and the error names
+    the first non-finite stage's time.
+
     Returns the list of ``FlowSample`` at t0 and every accepted step.
     ``bound_ct`` costs O(1) per sample for the four built-in designs:
     the constant, linear and exponential ones use the closed form of the
@@ -237,11 +246,16 @@ def integrate_rk45(
     upper bound. Other designs get ``bound_continuous``, an adaptive
     Simpson estimate.
 
-    Raises ``IllPosedIntervalError`` if mu(t) <= 0 anywhere it is
-    evaluated, ``NumericalDivergenceError`` if a right-hand-side
-    evaluation is not finite, and ``StiffnessError`` on step-size
-    underflow.
+    Raises ``InvalidParameterError`` if ``t0``, ``t_end``, ``rtol`` or
+    ``atol`` is not finite or out of range, ``DimensionMismatchError``
+    if ``x0`` does not have the problem's dimension,
+    ``IllPosedIntervalError`` if mu(t) <= 0 anywhere it is evaluated,
+    ``NumericalDivergenceError`` if a right-hand-side evaluation is not
+    finite, and ``StiffnessError`` on step-size underflow.
     """
+    for name, value in (("t0", t0), ("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
     if not (t_end > t0):
         raise InvalidParameterError("t_end must be > t0")
     if not (rtol > 0.0 and atol > 0.0):
@@ -249,6 +263,11 @@ def integrate_rk45(
     if counter is None:
         counter = GradEvalCounter()
     x = np.array(x0, dtype=float).reshape(-1)
+    n = x.shape[0]
+    if n != problem.input_dim:
+        raise DimensionMismatchError(
+            f"x0 has dimension {n}, problem expects {problem.input_dim}"
+        )
     sigma = problem.f.sigma
     beta = problem.beta
     opt = problem.optimum
@@ -258,17 +277,13 @@ def integrate_rk45(
         x0_dist_sq = float(diff0 @ diff0)
         smoothed_at_opt = problem.point(opt).smoothed
 
-    def rhs(t, point):
+    def grad_at(t, point):
         mu = float(mu_of_t(t))
         if not (mu > 0.0):
             raise IllPosedIntervalError(f"mu(t) = {mu} at t = {t}")
-        g = smoothed_grad(problem, point, mu, counter)
-        # Without this check a NaN stage only shrinks h until it underflows.
-        if not np.isfinite(g).all():
-            raise NumericalDivergenceError(
-                len(samples) - 1, f"non-finite right-hand side at t = {t}"
-            )
-        return -g
+        # Looked up in this module on every call, so a wrapper bound to
+        # flow.smoothed_grad sees each charged evaluation.
+        return smoothed_grad(problem, point, mu, counter)
 
     # Along the built-in designs the bound comes from J(t) (``_chord_step``),
     # advanced once per sample; a closed form is used while it is finite.
@@ -317,24 +332,36 @@ def integrate_rk45(
     h = _INITIAL_STEP_FRACTION * span
     min_step = _MIN_STEP_FRACTION * span
     t = t0
-    k_mat = np.empty((7, x.size))  # stage derivatives; row 0 is FSAL's carry
-    k_mat[0] = rhs(t, point)
+    k_mat = np.empty((7, n))  # +grad F at the stages; row 0 is FSAL's carry
+    k_mat[0] = grad_at(t, point)
+    # (c_i, a_i, the rows a_i weighs), built once: views into k_mat.
+    stages = [(_DP_C[i], _DP_A[i], k_mat[:i], i) for i in range(1, 7)]
+    abs_x = np.abs(x)
     for _ in range(max_attempts):
         remaining = t_end - t
         h_try = min(h, remaining)
         if h_try < min_step:
             raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
-        for i in range(1, 7):
-            point = problem.point(x + h_try * (_DP_A[i] @ k_mat[:i]))
-            k_mat[i] = rhs(t + _DP_C[i] * h_try, point)
-        # The last stage's point is the 5th-order solution.
-        err_vec = h_try * (_DP_ERR @ k_mat)
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(point.x))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        for c, a, k_prev, i in stages:
+            point = problem.point(x - h_try * (a @ k_prev))
+            k_mat[i] = grad_at(t + c * h_try, point)
+        # Without this test a NaN stage only shrinks h until it underflows.
+        if not np.isfinite(k_mat).all():
+            i = int(np.isfinite(k_mat).all(axis=1).argmin())
+            raise NumericalDivergenceError(
+                len(samples) - 1, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
+            )
+        # The last stage's point is the 5th-order solution; q is the
+        # scaled error estimate up to sign.
+        abs_new = np.abs(point.x)
+        q = h_try * (_DP_ERR @ k_mat)
+        q /= atol + rtol * np.maximum(abs_x, abs_new)
+        err = math.sqrt(np.add.reduce(q * q) / n)
         if err <= 1.0:
             # Land exactly on t_end when the step was clipped to it.
             t = t_end if h_try == remaining else t + h_try
             x = point.x
+            abs_x = abs_new
             k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
             samples.append(sample_at(t, point))
             if t >= t_end:

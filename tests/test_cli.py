@@ -327,6 +327,52 @@ def test_golden_reciprocal_flow_hash(tmp_path):
     assert file_hash(out / "flow_rk45.csv") == GOLDEN_RECIPROCAL_RK45
 
 
+# sha256 over every RK45 sample's state bytes followed by its CSV row
+# (the six fields). flow_rk45.csv does not carry x, so only these pin
+# the integrated state bit for bit; same contract as GOLDEN.
+GOLDEN_RK45_STATE = {
+    "sqrt_l2": "a0fee3744d8b4ca4c82cbf4ee40ae601cdd91b5529ef5f55836cc459c208b86e",
+    "huber_l2": "42fed5eefeacd8ea42c5e65ebe59fbd6a3f6070309b50a0f77f83e10bd21ae08",
+    "reciprocal": "a39c4abfef3d3103034bdb464da4d9c56e89b77999919e37bb45c0f4f3f9ee4c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RK45_STATE))
+def test_golden_rk45_state_hash(tmp_path, monkeypatch, case):
+    from smoothflow import cli
+
+    payload = RECIPROCAL if case == "reciprocal" else dict(CONTINUOUS, smoothing=case)
+    runs = []
+    integrate = cli.integrate_rk45
+
+    def keep(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate_rk45", keep)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(out)]) == 0
+    (samples,) = runs
+    rows = (out / "flow_rk45.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == len(samples) and all(row.count(",") == 5 for row in rows)
+    digest = hashlib.sha256()
+    for sample, row in zip(samples, rows):
+        digest.update(sample.x.tobytes())
+        digest.update(row.encode())
+    assert digest.hexdigest() == GOLDEN_RK45_STATE[case]
+
+
+@pytest.mark.parametrize("key", ["t_end", "rtol", "atol"])
+def test_rk45_non_finite_run_parameter_is_config_error(tmp_path, capsys, key):
+    # t_end = Infinity used to die in a stage at t = inf; rtol = Infinity
+    # exited 0 having accepted every step.
+    payload = dict(CONTINUOUS, run=dict(CONTINUOUS["run"], **{key: math.inf}))
+    cfg = write_config(tmp_path, payload)
+    assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
 def flow_columns(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")

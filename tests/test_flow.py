@@ -24,6 +24,7 @@ from smoothflow import (
     sqrt_l2_approx,
 )
 from smoothflow.errors import (
+    DimensionMismatchError,
     IllPosedIntervalError,
     InvalidParameterError,
     NumericalDivergenceError,
@@ -170,6 +171,45 @@ class TestRk45Linear:
         with pytest.raises(InvalidParameterError):
             integrate_rk45(prob, ConstantMu(1.0), np.ones(1), 0.0, 1.0, -1e-3, 1e-6)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("t0", -math.inf), ("t_end", math.inf), ("rtol", math.inf), ("atol", math.inf),
+         ("t_end", math.nan), ("rtol", math.nan)],
+    )
+    def test_non_finite_parameter_rejected(self, name, value):
+        # t_end = inf used to evaluate a stage at t = inf; rtol = inf
+        # accepted every step.
+        args = {"t0": 0.0, "t_end": 1.0, "rtol": 1e-6, "atol": 1e-9}
+        args[name] = value
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+            integrate_rk45(linear_decay_problem(1.0), ConstantMu(1.0), np.ones(1), **args)
+
+    def test_x0_length_checked_up_front(self, strongly_convex_problem):
+        # The known optimum used to meet x0 first, in numpy's broadcast error.
+        with pytest.raises(DimensionMismatchError, match="x0 has dimension 9, problem expects 10"):
+            integrate_rk45(
+                strongly_convex_problem, ConstantMu(1.0), np.zeros(9), 0.0, 1.0, 1e-3, 1e-6
+            )
+
+    def test_charged_gradients_pass_through_flow_smoothed_grad(
+        self, monkeypatch, strongly_convex_problem, zero_x0
+    ):
+        # The benchmark tracer rebinds flow.smoothed_grad; every charged
+        # stage gradient must go through that name.
+        charged = []
+        inner = flow.smoothed_grad
+
+        def counting(problem, x, mu, counter=None):
+            if counter is not None:
+                charged.append(mu)
+            return inner(problem, x, mu, counter)
+
+        monkeypatch.setattr(flow, "smoothed_grad", counting)
+        samples = integrate_rk45(
+            strongly_convex_problem, ReciprocalMu(1.0, 1.0, t0=1.0), zero_x0, 1.0, 1.5, 1e-6, 1e-9
+        )
+        assert len(charged) == samples[-1].grad_evals > 1
+
     def test_samples_strictly_increasing_in_time(self):
         prob = linear_decay_problem(2.0)
         samples = integrate_rk45(prob, ConstantMu(1.0), np.ones(1), 0.0, 1.0, 1e-6, 1e-9)
@@ -212,6 +252,38 @@ class TestRk45IllPosed:
         prob = CompositeProblem(f=f, h=None)
         with pytest.raises(NumericalDivergenceError):
             integrate_rk45(prob, ConstantMu(1.0), np.ones(2), 0.0, 1.0, 1e-6, 1e-9)
+
+    # (threshold, bad value, sample index, message), pinned: the first
+    # non-finite stage of the failing attempt is stage 1, 2, 3, 4 or 5,
+    # or the initial evaluation at t0, and the message names its time.
+    DIVERGENCES = [
+        (0.3346, np.nan, 6, "non-finite right-hand side at t = 1.0955552150551267"),
+        (0.3271, np.inf, 6, "non-finite right-hand side at t = 1.1187324323447454"),
+        (0.3, -np.inf, 6, "non-finite right-hand side at t = 1.2346185187928391"),
+        (0.3586, np.nan, 5, "non-finite right-hand side at t = 1.0234518715839884"),
+        (0.3496, np.inf, 5, "non-finite right-hand side at t = 1.0492007804758892"),
+        (2.0, np.nan, 0, "non-finite right-hand side at t = 0.0"),
+    ]
+
+    # The failing attempt's remaining stages run from non-finite states,
+    # where numpy may warn about inf - inf.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("threshold,bad,step,message", DIVERGENCES)
+    def test_divergence_names_first_non_finite_stage(self, threshold, bad, step, message):
+        # x' = -x whose gradient turns non-finite once x[0] drops below
+        # the threshold, partway through the run.
+        def grad(x):
+            return x.copy() if x[0] > threshold else np.full_like(x, bad)
+
+        f = SmoothPart(
+            value=lambda x: 0.5 * float(x @ x), grad=grad, sigma=1.0, lipschitz=1.0, input_dim=2
+        )
+        prob = CompositeProblem(f=f, h=None)
+        with pytest.raises(NumericalDivergenceError) as info:
+            integrate_rk45(prob, ConstantMu(1.0), np.array([1.0, 0.5]), 0.0, 2.0, 1e-6, 1e-9)
+        assert type(info.value) is NumericalDivergenceError
+        assert info.value.args == (message,)
+        assert info.value.step == step
 
 
 class TestContinuousLyapunov:
