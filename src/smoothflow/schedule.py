@@ -4,8 +4,10 @@ A schedule produces the non-increasing sequence mu_k; the stepsize is
 always ``s_k = 1/(L + alpha/mu_k)``, which makes the discrete method a
 forward Euler discretization of the continuous flow with timestep s_k.
 ``ScheduleState`` carries everything the analytical bounds need: the
-discretized time t_k, the strong-convexity weight eta_k and the running
-sums of s, eta*s and eta*mu*s.
+discretized time t_k, the running sum of s and, divided by the
+strong-convexity weight eta_k, the weight itself and the running sums
+of eta*s and eta*mu*s. The weight grows like exp(sigma * t_k); the
+scaled values stay finite.
 
 Three continuous-time designs ship with the package: linear (which
 reproduces exponential decay in k and exhausts at a finite time),
@@ -26,27 +28,6 @@ from .errors import InvalidParameterError, ScheduleExhaustedError
 # Below this the smoothing parameter is numerically dead and the flow is
 # treated as ill-posed rather than silently clamped.
 MU_FLOOR = 1e-300
-
-_LOG2 = math.log(2.0)
-
-
-def logaddexp(x, y):
-    """log(exp(x) + exp(y)) of two Python floats, bit for bit ``np.logaddexp``.
-
-    The branches and the libm calls are those of numpy's
-    ``npy_logaddexp``; calling the ufunc on scalars costs several times
-    more, and the schedule recursion makes two calls per step.
-    """
-    if x == y:
-        # Equal infinities land here too, so no inf - inf is formed.
-        return x + _LOG2
-    tmp = x - y
-    if tmp > 0.0:
-        return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0.0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp  # a NaN argument
-
 
 def _exp_or_inf(log_value):
     """exp(log_value), or inf once the value is past the double range."""
@@ -303,13 +284,17 @@ class ConstantMu:
 class ScheduleState(NamedTuple):
     """Per-step snapshot of the schedule recursion.
 
-    ``eta`` and the eta-weighted sums are kept both linearly and in log
-    space; the linear values are exact while they fit in a double and
-    the log values take over transparently once eta grows past that
-    (eta grows like exp(sigma * t_k)). ``sum_eta_s`` and
-    ``sum_eta_mu_s`` read inf once the sums themselves leave the double
-    range; the log values stay exact. An immutable named tuple:
-    ``_replace`` makes a modified copy.
+    The strong-convexity weight eta_k = prod 1/(1 - sigma s_kappa) and
+    the eta-weighted sums are carried divided by eta_k:
+    ``scaled_sum_eta_s`` N_k = (sum eta_{kappa+1} s_kappa)/eta_k,
+    ``scaled_sum_eta_mu_s`` M_k = (sum eta_{kappa+1} mu_kappa
+    s_kappa)/eta_k and ``inv_eta`` D_k = 1/eta_k. Each stays finite,
+    however far eta grows (like exp(sigma * t_k)); D_k may underflow
+    to 0. The
+    properties ``eta``, ``sum_eta_s`` and ``sum_eta_mu_s`` undo the
+    scaling and read inf once the value is past the double range. At
+    sigma = 0 the scaled sums are the plain sums. An immutable named
+    tuple: ``_replace`` makes a modified copy.
     """
 
     k: int
@@ -317,28 +302,24 @@ class ScheduleState(NamedTuple):
     mu: float
     s: float
     sum_s: float
-    eta_lin: float
-    sum_eta_s_lin: float
-    sum_eta_mu_s_lin: float
-    log_eta: float
-    log_sum_eta_s: float
-    log_sum_eta_mu_s: float
+    scaled_sum_eta_s: float
+    scaled_sum_eta_mu_s: float
+    inv_eta: float
+
+    def _times_eta(self, scaled):
+        return scaled / self.inv_eta if self.inv_eta > 0.0 else math.inf
 
     @property
     def eta(self):
-        return self.eta_lin
+        return self._times_eta(1.0)
 
     @property
     def sum_eta_s(self):
-        if math.isfinite(self.sum_eta_s_lin):
-            return self.sum_eta_s_lin
-        return _exp_or_inf(self.log_sum_eta_s)
+        return self._times_eta(self.scaled_sum_eta_s)
 
     @property
     def sum_eta_mu_s(self):
-        if math.isfinite(self.sum_eta_mu_s_lin):
-            return self.sum_eta_mu_s_lin
-        return _exp_or_inf(self.log_sum_eta_mu_s)
+        return self._times_eta(self.scaled_sum_eta_mu_s)
 
 
 def initial_state(sched, lipschitz, alpha):
@@ -347,18 +328,19 @@ def initial_state(sched, lipschitz, alpha):
     mu0 = sched.mu_at(0, t0)
     if not (mu0 > MU_FLOOR):
         raise ScheduleExhaustedError(f"initial smoothing parameter {mu0} is not positive")
-    return ScheduleState(
-        0, t0, mu0, step_size(lipschitz, alpha, mu0), 0.0, 1.0, 0.0, 0.0, 0.0, -math.inf, -math.inf
-    )
+    return ScheduleState(0, t0, mu0, step_size(lipschitz, alpha, mu0), 0.0, 0.0, 0.0, 1.0)
 
 
 def advance(sched, state, sigma, lipschitz, alpha):
     """One step of the schedule recursion: k -> k+1.
 
-    Extends the running sums with the k-th terms, updates
-    eta_{k+1} = eta_k / (1 - sigma * s_k), advances the timeline and
-    queries the schedule for mu_{k+1}. Raises ``ScheduleExhaustedError``
-    when the schedule's smoothing parameter is no longer positive.
+    Extends the running sums with the k-th terms: with
+    shrink = 1 - sigma * s_k = eta_k / eta_{k+1}, the scaled sums become
+    N_{k+1} = N_k shrink + s_k, M_{k+1} = M_k shrink + mu_k s_k and
+    D_{k+1} = D_k shrink (see ``ScheduleState``). Then advances the
+    timeline and queries the schedule for mu_{k+1}. Raises
+    ``ScheduleExhaustedError`` when the schedule's smoothing parameter
+    is no longer positive.
     """
     s_k = state.s
     mu_k = state.mu
@@ -367,9 +349,6 @@ def advance(sched, state, sigma, lipschitz, alpha):
         raise InvalidParameterError(
             f"1 - sigma*s must stay positive, got {shrink} (sigma={sigma})"
         )
-    log_eta_next = state.log_eta - math.log1p(-sigma * s_k)
-    eta_next = state.eta_lin / shrink
-    log_s = math.log(s_k)
     k_next = state.k + 1
     t_next = state.t + s_k
     mu_next = sched.mu_at(k_next, t_next)
@@ -383,18 +362,15 @@ def advance(sched, state, sigma, lipschitz, alpha):
         float(mu_next),
         step_size(lipschitz, alpha, mu_next),
         state.sum_s + s_k,
-        eta_next,
-        state.sum_eta_s_lin + eta_next * s_k,
-        state.sum_eta_mu_s_lin + eta_next * mu_k * s_k,
-        log_eta_next,
-        logaddexp(state.log_sum_eta_s, log_eta_next + log_s),
-        logaddexp(state.log_sum_eta_mu_s, log_eta_next + log_s + math.log(mu_k)),
+        state.scaled_sum_eta_s * shrink + s_k,
+        state.scaled_sum_eta_mu_s * shrink + mu_k * s_k,
+        state.inv_eta * shrink,
     )
 
 
 def eta_lower_bound(state, sigma):
-    """exp(sigma * sum of stepsizes), a lower bound on eta_k."""
-    return math.exp(sigma * state.sum_s)
+    """exp(sigma * sum of stepsizes), a lower bound on eta_k; inf past the double range."""
+    return _exp_or_inf(sigma * state.sum_s)
 
 
 @dataclass
@@ -443,7 +419,7 @@ def sum_divergence_equivalent(sched, sigma, lipschitz, alpha, horizon):
             sum_eta_s = sum_eta_s[: steps + 1]
             break
         sum_s[k] = state.sum_s
-        sum_eta_s[k] = state.sum_eta_s_lin
+        sum_eta_s[k] = state.sum_eta_s
     return SumDivergenceReport(
         horizon=steps,
         sum_s_series=sum_s,

@@ -20,7 +20,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
-from .schedule import advance, initial_state, logaddexp
+from .schedule import advance, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
@@ -92,7 +92,7 @@ def lyapunov_discrete(problem, state, x):
     return _lyapunov(
         x,
         opt,
-        state.eta_lin,
+        state.eta,
         state.sum_eta_s,
         smoothed_value(problem, x, state.mu),
         problem.beta,
@@ -106,19 +106,14 @@ def bound_discrete(state, x0_dist_sq, beta):
 
     (x0_dist_sq/2 + beta * sum eta_{kappa+1} mu_kappa s_kappa)
         / (sum eta_{kappa+1} s_kappa),
-    evaluated in log space once the eta-weighted sums overflow doubles.
+    evaluated with numerator and denominator divided by eta_k, from the
+    state's scaled sums, so every term stays finite.
     """
     if state.k < 1:
         raise UndefinedBoundError("the discrete bound is defined for k >= 1")
-    half_dist = 0.5 * x0_dist_sq
-    num_lin = half_dist + beta * state.sum_eta_mu_s_lin
-    if math.isfinite(num_lin) and math.isfinite(state.sum_eta_s_lin):
-        return num_lin / state.sum_eta_s_lin
-    log_num = logaddexp(
-        math.log(half_dist) if half_dist > 0.0 else -math.inf,
-        math.log(beta) + state.log_sum_eta_mu_s if beta > 0.0 else -math.inf,
-    )
-    return math.exp(log_num - state.log_sum_eta_s)
+    return (
+        0.5 * x0_dist_sq * state.inv_eta + beta * state.scaled_sum_eta_mu_s
+    ) / state.scaled_sum_eta_s
 
 
 def closed_form_bound_nonstrongly(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq, k):
@@ -214,7 +209,7 @@ def run_sgm(
             lyap = _lyapunov(
                 point.x,
                 opt,
-                st.eta_lin,
+                st.eta,
                 st.sum_eta_s,
                 f_tilde,
                 beta,

@@ -238,12 +238,12 @@ def test_byte_determinism(tmp_path, command, payload, artifact):
 # updates the values and says why. They assume the matrix products round
 # as in the numpy/BLAS build they were recorded with.
 GOLDEN = {
-    ("sqrt_l2", "solve-sgm"): "0f189469815640e28099bc3a0ad838542c1e2e0b592ef6dc9d407aa42a7d8081",
-    ("sqrt_l2", "solve-sgf-euler"): "73a759b89f05361959d2f28da3d4d7dd52ee99e10131c7a1cf93be2deb8db12c",
+    ("sqrt_l2", "solve-sgm"): "0875bc0b3f53041d002eabdeef18c92ed4b30443c0eeeae4ed9dce0fb7e86aa6",
+    ("sqrt_l2", "solve-sgf-euler"): "b881659370cf8a47886f09643291697a545246f49277d6983b01eb55f245caeb",
     ("sqrt_l2", "solve-sgf-rk45"): "b7be5c200c149e8c285de08f1c368977cd5a4f9dd7e62719551d3660021bc2d1",
     ("sqrt_l2", "compare"): "395cfb40eed2b7bc9404c8d0e31b8487b7d57f9be389913d3f5573b659dc1912",
-    ("huber_l2", "solve-sgm"): "afdaf3a4da81be04edc0fb985eecf336362d9601ccaa3f943143f354daf76f47",
-    ("huber_l2", "solve-sgf-euler"): "481dea8dea46088fc008a37b607a7070907e8826945dc45045daadd43db2e7f2",
+    ("huber_l2", "solve-sgm"): "bdf2d9112b097d9c573b0dfe7ca4d8974eca8d2f0be037b82c31c4bbb51ffdaf",
+    ("huber_l2", "solve-sgf-euler"): "e1ede1b1eb3f4704e2830ccf88ee750211f6dad4b7276e1ea9f887337f061851",
     ("huber_l2", "solve-sgf-rk45"): "8d42deb9a5a566b8c647395d9a8af7f7ec32a276485ee967a18f852e13c9784c",
     ("huber_l2", "compare"): "1a34a9fd7f572f5b86caf6af8a0435fa89e5478dcaf07c731f99e21c6dc25e7d",
 }
@@ -264,7 +264,7 @@ def test_golden_output_hash(tmp_path, smoothing, command):
 
 
 # eta_k overflows at k = 356 and the eta-weighted sums leave the double
-# range soon after, so the bound's tail comes from its log-space branch.
+# range soon after; the bound divides both by eta_k and stays finite.
 OVERFLOWING = {
     "problem": {"n_x": 2, "n_A": 50, "n_C": 1, "rng_seed": 3},
     "smoothing": "sqrt_l2",
@@ -275,9 +275,9 @@ OVERFLOWING = {
 # Same contract as GOLDEN, for the bound series and the rate fit (with
 # the subcommands' default flags).
 GOLDEN_BOUNDS = {
-    ("STRONG", "bounds"): "2376976b08d36ab817b9335eb0282b7bbec15b55f6c4bd3960f130553e93ebc5",
-    ("STRONG", "rate-fit"): "9bc289e6856596785daefc0f44c4369fb94bd6958d9d1bbbd3c4c151b1daa233",
-    ("OVERFLOWING", "bounds"): "61813b2d8ff15c246e0b78fa7541600b23d62e709c3794308a77f8793e1a8d40",
+    ("STRONG", "bounds"): "5b13aeefc05eb16196cb05fdfcb38d8aaa4f4b625dc6384fa4209e8ba76c928a",
+    ("STRONG", "rate-fit"): "622e935126db1c2e8c9cb91ad0528fc6f440b6c3658c51f4f2c9bcf2faa0d84c",
+    ("OVERFLOWING", "bounds"): "3251002c472f959e54d2230335f2583a59ba72a95f480e4dff20591bfbb2b051",
 }
 
 
@@ -454,3 +454,104 @@ def test_rk45_tight_run_prints_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, RECIPROCAL)
     assert run(["solve-sgf-rk45", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+# n_A < n_x leaves A^T A singular, so sigma = 0 and `bounds` writes the
+# closed_form_bound column. With 1 - sigma s = 1 exactly, the
+# eta-weighted sums are the plain sums and these bytes hold across any
+# rewrite of how the weighted sums are carried.
+SIGMA0 = {
+    "problem": {"n_x": 8, "n_A": 5, "n_C": 6, "rng_seed": 777},
+    "smoothing": "sqrt_l2",
+    "schedule": {"name": "power", "mu0": 1.0, "gamma": 0.5},
+    "run": {"max_steps": 40},
+}
+SIGMA0_CONTINUOUS = dict(SIGMA0, schedule=CONTINUOUS["schedule"], run=CONTINUOUS["run"])
+SIGMA0_X0 = dict(
+    SIGMA0, run={"max_steps": 40, "x0": [0.5, -1.0, 2.0, 0.0, -0.25, 1.5, -3.0, 0.75]}
+)
+
+# mu(t) = 1 - 60 (t - 1) falls faster than the stepsize can follow:
+# SGM takes two steps before mu turns negative, well inside the RK45
+# leg's gradient budget, so its run ends schedule-exhausted.
+COMPARE_EXHAUSTING = dict(
+    CONTINUOUS,
+    schedule={"name": "continuous-linear", "mu0": 1.0, "rate": 60.0, "t0": 1.0},
+    run={"t_end": 1.0 + 0.5 / 60.0, "rtol": 1e-4, "atol": 1e-7},
+)
+
+# Same contract as GOLDEN, for CLI paths the pins above do not run:
+# name -> (config, arguments after the config, artifact, sha256).
+GOLDEN_PATHS = {
+    "bounds-sigma0": (
+        SIGMA0,
+        ["bounds"],
+        "discrete_bounds.csv",
+        "609ea47bb464e4d19a4f6154765e28b9ad8afa60f494624b2343cd1fcbfac3c2",
+    ),
+    "solve-sgm-sigma0": (
+        SIGMA0,
+        ["solve-sgm"],
+        "trajectory.csv",
+        "aa04c06aadf47f48a24dbeaec98313cfe10aa44dfec7ae7acadd9bb0383c22d1",
+    ),
+    "rate-fit-sigma0": (
+        SIGMA0,
+        ["rate-fit"],
+        "rate_fit.csv",
+        "596363713cb14616f3ddb4fa6588ec8904351852a12f922797be81384684b993",
+    ),
+    "solve-sgf-euler-sigma0": (
+        SIGMA0_CONTINUOUS,
+        ["solve-sgf-euler"],
+        "flow_euler.csv",
+        "e321106d7f0a904e99a83818a246c39b4e69f3aeaa6683814b4b295842652cc5",
+    ),
+    "solve-sgm-x0": (
+        SIGMA0_X0,
+        ["solve-sgm"],
+        "trajectory.csv",
+        "ca3cfb2ac29a043c9d52ea6b0ad3b1d998df6844cf4c3c9010bf3fa5648847c0",
+    ),
+    "solve-sgf-rk45-json": (
+        CONTINUOUS,
+        ["solve-sgf-rk45", "--format", "json"],
+        "flow_rk45.json",
+        "266a86aa7b0b8518e804f3c0549672298b4796c25df3e9a83a2c3a1a5ba2ac58",
+    ),
+    "bounds-exponential": (
+        None,
+        ["bounds", "--schedule", "exponential", "--lambda", "0.5", "--k-max", "50"],
+        "timeline_bounds.csv",
+        "a544b7658bfb41193940e3d0703b8e3979cfd9e6ce6cf238d3669208f9c0965d",
+    ),
+    "compare-strict": (
+        COMPARE_EXHAUSTING,
+        ["compare", "--strict"],
+        "compare.csv",
+        "f91ef7efe4966aa85b33ee5ccb90e31df9c01a0b2f1359d5467493d719c67b71",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PATHS))
+def test_golden_path_hash(tmp_path, name):
+    payload, args, artifact, expected = GOLDEN_PATHS[name]
+    if payload is not None:
+        args = [args[0], "--config", write_config(tmp_path, payload)] + args[1:]
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == (4 if "--strict" in args else 0)
+    assert file_hash(out / artifact) == expected
+
+
+def test_config_x0_of_wrong_length_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SIGMA0, run={"max_steps": 40, "x0": [1.0, 2.0]}))
+    assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "x0 must have length 8" in capsys.readouterr().err
+
+
+def test_compare_without_strict_reports_exhaustion_as_success(tmp_path):
+    cfg = write_config(tmp_path, COMPARE_EXHAUSTING)
+    out = tmp_path / "out"
+    assert run(["compare", "--config", cfg, "--out", str(out)]) == 0
+    assert file_hash(out / "compare.csv") == GOLDEN_PATHS["compare-strict"][3]

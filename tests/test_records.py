@@ -72,10 +72,11 @@ class TestNamedTupleRecords:
 
 def test_schedule_state_properties_survive():
     state = schedule_state()
-    assert state.eta == state.eta_lin == 1.0
+    assert state.eta == 1.0 / state.inv_eta == 1.0
     assert state.sum_eta_s == state.sum_eta_mu_s == 0.0
-    forced = state._replace(sum_eta_s_lin=math.inf, log_sum_eta_s=0.0)
-    assert forced.sum_eta_s == 1.0
+    forced = state._replace(scaled_sum_eta_s=1.0, inv_eta=0.5)
+    assert forced.sum_eta_s == 2.0
+    assert forced._replace(inv_eta=0.0).sum_eta_s == math.inf
 
 
 def test_timeline_bounds_defaults():

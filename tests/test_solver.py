@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -300,15 +301,29 @@ class TestBoundDiscrete:
                 checkpoints[k] = bound_discrete(state, 2.0, 1.0)
         assert checkpoints[100] > checkpoints[1000] > checkpoints[10_000]
 
-    def test_log_space_path_matches_linear(self):
-        # force the log route by zeroing the linear accumulators' validity
-        sched = PowerDecay(mu0=1.0, gamma=0.5)
-        state = initial_state(sched, 1.0, 1.0)
-        for _ in range(50):
-            state = advance(sched, state, 0.9, 1.0, 1.0)
-        lin = bound_discrete(state, 2.0, 1.5)
-        forced = state._replace(sum_eta_s_lin=math.inf, sum_eta_mu_s_lin=math.inf)
-        assert bound_discrete(forced, 2.0, 1.5) == pytest.approx(lin, rel=1e-11)
+    def test_matches_mpmath_recursion_past_overflow(self):
+        # The run's own s_k, mu_k and sigma, summed to 50 digits; eta_k
+        # leaves the double range at k = 356.
+        p = overflowing_problem()
+        sched = PowerDecay(mu0=100.0, gamma=0.1, t0=1.0)
+        state = initial_state(sched, p.f.lipschitz, p.alpha)
+        d_sq = float(p.optimum @ p.optimum)
+        with mpmath.workdps(50):
+            sigma, half_dist, beta = (mpmath.mpf(v) for v in (p.f.sigma, d_sq / 2, p.beta))
+            eta, sum_es, sum_ems = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for _ in range(3000):
+                s_k, mu_k = mpmath.mpf(state.s), mpmath.mpf(state.mu)
+                state = advance(sched, state, p.f.sigma, p.f.lipschitz, p.alpha)
+                eta /= 1 - sigma * s_k
+                sum_es += eta * s_k
+                sum_ems += eta * mu_k * s_k
+                exact = (half_dist + beta * sum_ems) / sum_es
+                assert abs(bound_discrete(state, d_sq, p.beta) - exact) <= 1e-14 * exact
+                if state.sum_eta_s == math.inf:
+                    assert sum_es > np.finfo(float).max * (1.0 - 1e-14)
+                else:
+                    assert abs(state.sum_eta_s - sum_es) <= 1e-14 * sum_es
+        assert state.sum_eta_s == math.inf
 
 
 class TestClosedFormBound:
@@ -364,7 +379,7 @@ def overflowing_problem():
 
 class TestLongStronglyConvexRun:
     def test_run_survives_eta_overflow(self):
-        # eta_lin overflows at k = 356 and the log sums pass log(DBL_MAX)
+        # eta overflows at k = 356 and the eta-weighted sums pass DBL_MAX
         # soon after; the run used to die there with OverflowError.
         p = overflowing_problem()
         traj = run_sgm(p, PowerDecay(mu0=100.0, gamma=0.1, t0=1.0), np.zeros(2), 3000)
@@ -383,10 +398,13 @@ class TestLongStronglyConvexRun:
     def test_eta_sums_read_inf_past_the_double_range(self):
         p = overflowing_problem()
         sched = PowerDecay(mu0=100.0, gamma=0.1, t0=1.0)
-        state = initial_state(sched, p.f.lipschitz, p.alpha)
-        while state.log_sum_eta_s <= 710.0:
+        state = advance(
+            sched, initial_state(sched, p.f.lipschitz, p.alpha), p.f.sigma, p.f.lipschitz, p.alpha
+        )
+        # log(N/D) is log(sum eta*s), which passes log(DBL_MAX) < 710.
+        while math.log(state.scaled_sum_eta_s) - math.log(state.inv_eta) <= 710.0:
             state = advance(sched, state, p.f.sigma, p.f.lipschitz, p.alpha)
-        assert state.log_sum_eta_mu_s > 710.0
+        assert math.log(state.scaled_sum_eta_mu_s) - math.log(state.inv_eta) > 710.0
         assert state.sum_eta_s == math.inf
         assert state.sum_eta_mu_s == math.inf
         d_sq = float(p.optimum @ p.optimum)
