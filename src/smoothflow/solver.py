@@ -107,7 +107,12 @@ def bound_discrete(state, x0_dist_sq, beta):
     (x0_dist_sq/2 + beta * sum eta_{kappa+1} mu_kappa s_kappa)
         / (sum eta_{kappa+1} s_kappa),
     evaluated with numerator and denominator divided by eta_k, from the
-    state's scaled sums, so every term stays finite.
+    state's scaled sums, so every term stays finite. Once eta_k passes
+    2**1022, D_k = 1/eta_k is subnormal and the x0 term keeps fewer
+    than 53 bits; it reads 0 once D_k underflows. With beta = 0 the
+    bound is that term alone, so it is coarse there and may read 0
+    while the exact bound, (x0_dist_sq/2)/(N_k eta_k), is still above
+    the double range's bottom.
     """
     if state.k < 1:
         raise UndefinedBoundError("the discrete bound is defined for k >= 1")

@@ -323,7 +323,11 @@ class TestBoundDiscrete:
                     assert sum_es > np.finfo(float).max * (1.0 - 1e-14)
                 else:
                     assert abs(state.sum_eta_s - sum_es) <= 1e-14 * sum_es
-        assert state.sum_eta_s == math.inf
+                if state.eta == math.inf:
+                    assert eta > np.finfo(float).max * (1.0 - 1e-14)
+                else:
+                    assert abs(state.eta - eta) <= 1e-14 * eta
+        assert state.sum_eta_s == math.inf and state.inv_eta == 0.0
 
 
 class TestClosedFormBound:
@@ -412,8 +416,8 @@ class TestLongStronglyConvexRun:
 
 
     def test_bound_without_h_survives_overflow(self):
-        # beta = 0: the log-space branch used to take log(0) once
-        # beta * sum_eta_mu_s became 0 * inf (at k = 603).
+        # beta = 0 past eta's overflow (k = 603 here): beta * sum_eta_mu_s
+        # would be 0 * inf, so the bound must stay finite from the scaled sums.
         a = Xoshiro256pp(11).normals((50, 2))
         p = CompositeProblem(f=quadratic_least_squares(a, np.zeros(50)), optimum=np.zeros(2))
         traj = run_sgm(p, PowerDecay(mu0=100.0, gamma=0.1), np.ones(2), 1000)
