@@ -364,7 +364,6 @@ class _L1Residual(SmoothApprox):
         self.input_dim = c.shape[1]
         self._c = c
         self._d = d
-        self._ones = np.ones(c.shape[0])
         self._huber = smoothing == "huber_l2"
         # alpha_1 (1 for both) times ||C||_F^2, one dot product of c.size terms
         # rounded up; SmoothingParams rejects a norm past the double range.
@@ -394,20 +393,38 @@ class _L1Residual(SmoothApprox):
         return float(np.min(np.abs(self.point(x).magnitudes() - mu)))
 
 
+def _smoothed_abs(huber, r, a, mu, shared):
+    """The per-row surrogate of |r| at mu, from |r| (``a``) and ``shared``.
+
+    ``shared`` is the ``|r| <= mu`` mask for Huber and ``hypot(r, mu)``
+    for the sqrt smoother. ``r`` holds one residual row or a chunk of
+    them, with ``mu`` a scalar or a column; the elementwise operations
+    are the same either way.
+    """
+    if huber:
+        return np.where(shared, a * a / (2.0 * mu), a - 0.5 * mu)
+    return shared - mu
+
+
+def _mu_shared(huber, r, a, mu):
+    """What the value and the gradient at one mu share (see ``_smoothed_abs``)."""
+    return a <= mu if huber else np.hypot(r, mu)
+
+
 class _L1Point:
     """``l1_residual`` at one x: r = C x - d is formed once.
 
     What depends on mu as well (``hypot(r, mu)`` for the sqrt smoother,
     the ``|r| <= mu`` mask for Huber) is kept for the last mu, so the
     gradient and the value at one mu share it, and mu is checked once
-    per value. Sums are dot products with a ones vector.
+    per value. Every sum is ``np.add.reduce`` over the last axis, the
+    reduction ``_chunk`` runs on each row of a chunk of residuals.
     """
 
-    __slots__ = ("_mat", "_ones", "_huber", "_r", "_abs", "_mu", "_shared")
+    __slots__ = ("_mat", "_huber", "_r", "_abs", "_mu", "_shared")
 
     def __init__(self, term, x):
         self._mat = term._c
-        self._ones = term._ones
         self._huber = term._huber
         self._r = self._mat @ x - term._d
         self._abs = None
@@ -422,18 +439,15 @@ class _L1Point:
     def _at_mu(self, mu):
         if mu != self._mu:
             mu = SmoothApprox._check_mu(mu)
-            self._shared = self.magnitudes() <= mu if self._huber else np.hypot(self._r, mu)
+            a = self.magnitudes() if self._huber else None
+            self._shared = _mu_shared(self._huber, self._r, a, mu)
             self._mu = mu
         return self._mu, self._shared
 
     def value(self, mu):
         mu, shared = self._at_mu(mu)
-        if self._huber:
-            a = self._abs
-            per = np.where(shared, a * a / (2.0 * mu), a - 0.5 * mu)
-        else:
-            per = shared - mu
-        return float(self._ones @ per)
+        per = _smoothed_abs(self._huber, self._r, self._abs, mu, shared)
+        return float(np.add.reduce(per, axis=-1))
 
     def grad(self, mu):
         mu, shared = self._at_mu(mu)
@@ -448,10 +462,21 @@ class _L1Point:
             per = np.where(shared, -a * a / (2.0 * mu * mu), -0.5)
         else:
             per = mu / shared - 1.0
-        return float(self._ones @ per)
+        return float(np.add.reduce(per, axis=-1))
 
     def exact(self):
-        return float(self._ones @ self.magnitudes())
+        return float(np.add.reduce(self.magnitudes(), axis=-1))
+
+    def _chunk(self, r, mu):
+        """h_tilde at ``mu`` and h at each row of stacked residuals ``r`` of this term.
+
+        One row per point, with ``mu`` a column (checked by the caller),
+        or a single row read at every mu.
+        """
+        a = np.abs(r)
+        shared = _mu_shared(self._huber, r, a, mu)
+        per = _smoothed_abs(self._huber, r, a, mu, shared)
+        return np.add.reduce(per, axis=-1), np.add.reduce(a, axis=-1)
 
 
 def l1_residual(c, d, smoothing):

@@ -162,6 +162,13 @@ def _emit_trajectory(args, cfg, traj, stem):
     return _EXIT_OK
 
 
+def _exhausted_code(args, ks, k_max):
+    """4 under --strict if the bound series stopped before k_max, at schedule exhaustion; else 0."""
+    if args.strict and len(ks) < k_max:
+        return _EXIT_EXHAUSTED
+    return _EXIT_OK
+
+
 def _cmd_generate(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
@@ -334,6 +341,7 @@ def _cmd_bounds(args):
         )
         _write(os.path.join(out, "discrete_bounds.csv"), series_csv(columns, rows))
         wrote_any = True
+        code = _exhausted_code(args, ks, k_max)
     if not wrote_any:
         raise ConfigError("bounds needs --schedule and/or --config")
     return code
@@ -375,7 +383,7 @@ def _cmd_rate_fit(args):
         )
     else:
         _write(os.path.join(out, "rate_fit.json"), json_envelope(cfg.to_dict(), report))
-    return _EXIT_OK
+    return _exhausted_code(args, ks, args.k_max)
 
 
 def _cmd_compare(args):

@@ -9,7 +9,7 @@ without an external solver.
 """
 
 import math
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .schedule import (
     _exp_or_inf,
     _expm1_or_inf,
 )
-from .solver import _lyapunov, run_sgm
+from .solver import _Chunk, _lyapunov, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
 # property. The last row of a is b5 without its zero weight, so the
@@ -71,7 +71,9 @@ class FlowSample(NamedTuple):
     is unknown; ``bound_ct`` is also NaN at the initial time where the
     bound is undefined. ``lyapunov_v`` reads inf once its weight
     exp(sigma (t - t0)) leaves the double range; ``bound_ct`` stays
-    finite.
+    finite. ``f_true`` and ``lyapunov_v`` are Python floats equal to
+    ``CompositeProblem.true_value`` and ``lyapunov_continuous`` at the
+    sample's state bit for bit.
     """
 
     t: float
@@ -115,15 +117,17 @@ def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
     mu = float(mu_of_t(t))
     x = np.asarray(x, dtype=float)
     delta = t - t0
-    return _lyapunov(
-        x,
-        opt,
-        _exp_or_inf(sigma * delta),
-        _sigma_integral(sigma, delta),
-        smoothed_value(problem, x, mu),
-        beta,
-        mu,
-        smoothed_value(problem, opt, mu),
+    return float(
+        _lyapunov(
+            x,
+            opt,
+            _exp_or_inf(sigma * delta),
+            _sigma_integral(sigma, delta),
+            smoothed_value(problem, x, mu),
+            beta,
+            mu,
+            smoothed_value(problem, opt, mu),
+        )
     )
 
 
@@ -227,7 +231,9 @@ def integrate_rk45(
     evaluation is charged to ``counter``; with FSAL that is one
     evaluation up front plus six per attempted step. The accepted state
     is the last stage's point, so its sample reads F(x, mu) and F(x)
-    from the residuals that stage formed.
+    from the residuals that stage formed. Those values and the Lyapunov
+    value are evaluated a chunk of samples at a time, as in ``run_sgm``;
+    the bound, with its chord recursion, is advanced per sample.
 
     The stage matrix holds ``+grad F``, so a stage state is
     ``x - h * (a_i @ K)``: the negation the right-hand side would carry
@@ -271,11 +277,9 @@ def integrate_rk45(
     sigma = problem.f.sigma
     beta = problem.beta
     opt = problem.optimum
-    has_optimum = opt is not None
-    if has_optimum:
+    if opt is not None:
         diff0 = x - opt
         x0_dist_sq = float(diff0 @ diff0)
-        smoothed_at_opt = problem.point(opt).smoothed
 
     def grad_at(t, point):
         mu = float(mu_of_t(t))
@@ -305,29 +309,23 @@ def integrate_rk45(
         t_last, mu_last = t, mu_hi
         return bnd
 
+    def sample(entry, f_tilde, f_true, lyap):
+        x, mu, _, _, t, bnd, evals = entry
+        return FlowSample(t, x, mu, f_true, lyap, bnd, evals)
+
     def sample_at(t, point):
         mu = float(mu_of_t(t))
-        if has_optimum:
-            delta = t - t0
-            lyap = _lyapunov(
-                point.x,
-                opt,
-                _exp_or_inf(sigma * delta),
-                _sigma_integral(sigma, delta),
-                point.smoothed(mu),
-                beta,
-                mu,
-                smoothed_at_opt(mu),
-            )
-            bnd = bound_at(t, mu)
-        else:
-            lyap = bnd = math.nan
-        return FlowSample(t, point.x, mu, point.exact(), lyap, bnd, counter.count)
+        bnd = math.nan if opt is None else bound_at(t, mu)
+        delta = t - t0
+        weight, integral = _exp_or_inf(sigma * delta), _sigma_integral(sigma, delta)
+        chunk.add(point, mu, weight, integral, t, bnd, counter.count)
 
     # One point per state: the stage gradient and, once the state is
     # accepted, its sample read the same residuals.
     point = problem.point(x)
-    samples: List[FlowSample] = [sample_at(t0, point)]
+    chunk = _Chunk(problem, point, sample)
+    sample_at(t0, point)
+    accepted = 0
     span = t_end - t0
     h = _INITIAL_STEP_FRACTION * span
     min_step = _MIN_STEP_FRACTION * span
@@ -349,7 +347,7 @@ def integrate_rk45(
         if not np.isfinite(k_mat).all():
             i = int(np.isfinite(k_mat).all(axis=1).argmin())
             raise NumericalDivergenceError(
-                len(samples) - 1, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
+                accepted, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
             )
         # The last stage's point is the 5th-order solution; q is the
         # scaled error estimate up to sign.
@@ -363,9 +361,11 @@ def integrate_rk45(
             x = point.x
             abs_x = abs_new
             k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
-            samples.append(sample_at(t, point))
+            accepted += 1
+            sample_at(t, point)
             if t >= t_end:
-                return samples
+                chunk.flush()
+                return chunk.records
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** (-0.2)
         h = h_try * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
     raise StiffnessError(f"no convergence within {max_attempts} attempted steps")

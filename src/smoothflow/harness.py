@@ -199,7 +199,9 @@ def trajectory_csv(traj):
         % (r.k, r.t, r.s, r.mu, r.f_tilde, r.f_true, r.grad_norm, r.lyapunov, r.bound, r.grad_evals)
         for r in traj.records
     )
-    return "\n".join(lines) + "\n"
+    # An empty last line gives the final newline without copying the joined text.
+    lines.append("")
+    return "\n".join(lines)
 
 
 def flow_csv(samples, include_x=False):
@@ -216,7 +218,8 @@ def flow_csv(samples, include_x=False):
         if include_x:
             fields += tuple(s.x)
         lines.append(row % fields)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def timeline_csv(table):
@@ -228,7 +231,8 @@ def timeline_csv(table):
     ]
     ks = [int(k) for k in table["k"]]
     lines.extend(_TIMELINE_ROW % (k, *rest) for k, *rest in zip(ks, *columns))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def series_csv(columns, rows):
@@ -245,7 +249,8 @@ def series_csv(columns, rows):
         if fmt is None:
             fmt = formats[types] = ",".join(map(_conversion, types))
         lines.append(fmt % tuple(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def json_envelope(config, series):

@@ -87,6 +87,11 @@ class SmoothPart:
             object.__setattr__(self, "point", functools.partial(_PartPoint, self))
 
 
+def _sum_of_squares(r):
+    """||r||^2 per row of ``r``, the one reduction behind single and chunk values."""
+    return np.add.reduce(r * r, axis=-1)
+
+
 class _LeastSquaresPoint:
     """||A x - b||^2 at one x: the residual A x - b is formed once."""
 
@@ -97,11 +102,15 @@ class _LeastSquaresPoint:
         self._r = a @ x - b
 
     def value(self):
-        r = self._r
-        return float(r @ r)
+        return float(_sum_of_squares(self._r))
 
     def grad(self):
         return 2.0 * (self._a.T @ self._r)
+
+    @staticmethod
+    def _chunk(r):
+        """f at each row of stacked residuals ``r``, one row per point."""
+        return _sum_of_squares(r)
 
 
 def quadratic_least_squares(a, b):
@@ -267,6 +276,69 @@ class CompositePoint:
         if self._h is None:
             return float(self._f_value())
         return float(self._f_value() + self._h.exact())
+
+
+class _ValueChunk:
+    """F(x, mu) and F(x) at up to ``cap`` points of one problem, read together.
+
+    When each part's point type has a row kernel (``_chunk``: least
+    squares, ``l1_residual``), ``add`` copies the point's residual rows
+    into buffers allocated once and keeps nothing else of it, and
+    ``values`` makes one pass over the rows. Each sum is one
+    ``np.add.reduce`` over a row, the kernel the points' own
+    ``smoothed`` and ``exact`` run on their one row, so every value
+    equals the single-point one bit for bit. Otherwise the points are
+    kept and read one at a time.
+    """
+
+    __slots__ = ("_parts", "_rows", "_points", "_n")
+
+    def __init__(self, point, cap):
+        parts = [p for p in (point._f, point._h) if p is not None]
+        if all(hasattr(type(p), "_chunk") for p in parts):
+            self._parts = parts
+            self._rows = [np.empty((cap, p._r.size)) for p in parts]
+        else:
+            self._parts = self._rows = None
+        self._points = []
+        self._n = 0
+
+    @staticmethod
+    def row_floats(point):
+        """Floats in the residual rows of ``point``'s parts that have a row kernel."""
+        return sum(p._r.size for p in (point._f, point._h) if hasattr(type(p), "_chunk"))
+
+    def add(self, point):
+        if self._rows is None:
+            self._points.append(point)
+        else:
+            for rows, part in zip(self._rows, (point._f, point._h)):
+                rows[self._n] = part._r
+        self._n += 1
+
+    def values(self, mu):
+        """F(x, mu) and F(x) at the added points, as arrays.
+
+        ``mu`` is an array with one entry per point; a single added point
+        is read at every entry (F(x*, mu) along a run).
+        """
+        if self._rows is None:
+            points = self._points * len(mu) if self._n == 1 else self._points
+            return (
+                np.array([p.smoothed(m) for p, m in zip(points, mu.tolist())]),
+                np.array([p.exact() for p in self._points]),
+            )
+        for bad in mu[~(mu > 0.0)][:1]:
+            _check_mu(float(bad))
+        f = self._parts[0]._chunk(self._rows[0][: self._n])
+        if len(self._parts) == 1:
+            return np.broadcast_to(f, mu.shape), f
+        h_tilde, h = self._parts[1]._chunk(self._rows[1][: self._n], mu[:, None])
+        return f + h_tilde, f + h
+
+    def clear(self):
+        self._points = []
+        self._n = 0
 
 
 def smoothed_value(problem, x, mu):

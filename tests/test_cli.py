@@ -238,14 +238,14 @@ def test_byte_determinism(tmp_path, command, payload, artifact):
 # updates the values and says why. They assume the matrix products round
 # as in the numpy/BLAS build they were recorded with.
 GOLDEN = {
-    ("sqrt_l2", "solve-sgm"): "0875bc0b3f53041d002eabdeef18c92ed4b30443c0eeeae4ed9dce0fb7e86aa6",
-    ("sqrt_l2", "solve-sgf-euler"): "b881659370cf8a47886f09643291697a545246f49277d6983b01eb55f245caeb",
-    ("sqrt_l2", "solve-sgf-rk45"): "b7be5c200c149e8c285de08f1c368977cd5a4f9dd7e62719551d3660021bc2d1",
-    ("sqrt_l2", "compare"): "395cfb40eed2b7bc9404c8d0e31b8487b7d57f9be389913d3f5573b659dc1912",
-    ("huber_l2", "solve-sgm"): "bdf2d9112b097d9c573b0dfe7ca4d8974eca8d2f0be037b82c31c4bbb51ffdaf",
-    ("huber_l2", "solve-sgf-euler"): "e1ede1b1eb3f4704e2830ccf88ee750211f6dad4b7276e1ea9f887337f061851",
-    ("huber_l2", "solve-sgf-rk45"): "8d42deb9a5a566b8c647395d9a8af7f7ec32a276485ee967a18f852e13c9784c",
-    ("huber_l2", "compare"): "1a34a9fd7f572f5b86caf6af8a0435fa89e5478dcaf07c731f99e21c6dc25e7d",
+    ("sqrt_l2", "solve-sgm"): "45a3afc248637698aa570dad4107602c975d34b98528cdf54de3ec8f2e667541",
+    ("sqrt_l2", "solve-sgf-euler"): "892cad0edab0eec558cc45954ef84143942386289edf0c5cf2b130d2a9e9404c",
+    ("sqrt_l2", "solve-sgf-rk45"): "ba4c19b254d9cf653d8229fbbdab4114f6ddeeac01483a11eeed8bd2987cb936",
+    ("sqrt_l2", "compare"): "b826498bb58a23d3566b170b9a197f69c178a8cd8c0f6e986cc52c60ce581063",
+    ("huber_l2", "solve-sgm"): "31a560fd3dbb0f8e1a89faffd383468ea6e3d9cc9cbeb9534dea1e0c96095570",
+    ("huber_l2", "solve-sgf-euler"): "01693192d18989572cfc36b2c9eda6f2f2d7f7d07d51a96b49505b6bbca62805",
+    ("huber_l2", "solve-sgf-rk45"): "952d71e632db82c31b589962c811fdd92162d57d3ce901b692ae3008e0a2e512",
+    ("huber_l2", "compare"): "cc29637aab0ea6a7b586be8b69b28d730454e9db5b88f55d2025c892325e6835",
 }
 
 
@@ -317,7 +317,7 @@ def test_overflowing_lyapunov_reads_inf_not_nan(tmp_path):
 RECIPROCAL = dict(
     CONTINUOUS, schedule={"name": "continuous-reciprocal", "mu0": 1.0, "p": 1.0, "t0": 1.0}
 )
-GOLDEN_RECIPROCAL_RK45 = "e9aae4682fa82febfad12ed9dc38a05dcb61c98905e66a2f3c30fb194f456319"
+GOLDEN_RECIPROCAL_RK45 = "91dc6e3664964df68fd1a07b411fc46b4d84d89b1614a26aed1d4af84f229735"
 
 
 def test_golden_reciprocal_flow_hash(tmp_path):
@@ -331,9 +331,9 @@ def test_golden_reciprocal_flow_hash(tmp_path):
 # (the six fields). flow_rk45.csv does not carry x, so only these pin
 # the integrated state bit for bit; same contract as GOLDEN.
 GOLDEN_RK45_STATE = {
-    "sqrt_l2": "a0fee3744d8b4ca4c82cbf4ee40ae601cdd91b5529ef5f55836cc459c208b86e",
-    "huber_l2": "42fed5eefeacd8ea42c5e65ebe59fbd6a3f6070309b50a0f77f83e10bd21ae08",
-    "reciprocal": "a39c4abfef3d3103034bdb464da4d9c56e89b77999919e37bb45c0f4f3f9ee4c",
+    "sqrt_l2": "6844d3ea2031f8e507c1356aa4ce095e598de9bf66e4b1efab5e89cbcc3f6223",
+    "huber_l2": "a0e3912dba377ee9f24977790e63f4ecb2246b59d9a9fd4e1c9d68eeb180e3af",
+    "reciprocal": "d10bef603e544db1accdafbef769c4e2cc18f42062908b7c987097722260a839",
 }
 
 
@@ -446,7 +446,7 @@ def test_rk45_warns_once_when_gap_exceeds_bound(tmp_path, capsys):
     assert f" {len(above)} of {len(cols['t'])} samples" in err
     assert f"first at t = {above[0]!r}" in err
     assert file_hash(out / "flow_rk45.csv") == (
-        "43ceb2cf70fda776edee5c9c7771acede8676742f692b1264d8dcbe9986ff2da"
+        "f16fcf784c2320dd61f32dd82e1ef6b7836ef7bb9ebd0e29dc7ea2d96ad717af"
     )
 
 
@@ -493,7 +493,7 @@ GOLDEN_PATHS = {
         SIGMA0,
         ["solve-sgm"],
         "trajectory.csv",
-        "aa04c06aadf47f48a24dbeaec98313cfe10aa44dfec7ae7acadd9bb0383c22d1",
+        "96b794c840e8e27f3d1c425287d8c096ac60f54c3ccff799fd4f2b1e4a380302",
     ),
     "rate-fit-sigma0": (
         SIGMA0,
@@ -505,19 +505,19 @@ GOLDEN_PATHS = {
         SIGMA0_CONTINUOUS,
         ["solve-sgf-euler"],
         "flow_euler.csv",
-        "e321106d7f0a904e99a83818a246c39b4e69f3aeaa6683814b4b295842652cc5",
+        "66d5af16838ba73043478e1901f53f0be38550d5aa08acff21453052bef7cbb2",
     ),
     "solve-sgm-x0": (
         SIGMA0_X0,
         ["solve-sgm"],
         "trajectory.csv",
-        "ca3cfb2ac29a043c9d52ea6b0ad3b1d998df6844cf4c3c9010bf3fa5648847c0",
+        "cdb218b720387d5234f910ee9d053fadbcf96eb2f65f9211d24b9c58d69283bb",
     ),
     "solve-sgf-rk45-json": (
         CONTINUOUS,
         ["solve-sgf-rk45", "--format", "json"],
         "flow_rk45.json",
-        "266a86aa7b0b8518e804f3c0549672298b4796c25df3e9a83a2c3a1a5ba2ac58",
+        "35b1477fa5813b3ed61597abb33a2d638b7c2463cd858ed0aeba06ab87ced02e",
     ),
     "bounds-exponential": (
         None,
@@ -530,6 +530,19 @@ GOLDEN_PATHS = {
         ["compare", "--strict"],
         "compare.csv",
         "f91ef7efe4966aa85b33ee5ccb90e31df9c01a0b2f1359d5467493d719c67b71",
+    ),
+    # The schedule exhausts after k = 996, so both series stop short of k_max.
+    "bounds-strict": (
+        EXHAUSTING,
+        ["bounds", "--strict"],
+        "discrete_bounds.csv",
+        "dc86ce5c6879ed7ad081392b4a84cd3365f58cc725084b042f927e6f025ec05f",
+    ),
+    "rate-fit-strict": (
+        EXHAUSTING,
+        ["rate-fit", "--strict", "--k-max", "3000"],
+        "rate_fit.csv",
+        "6b04e6a3e3ee59be8982f78ba1ca24ea24868615a55ddbd777f88863db32685f",
     ),
     # Without --strict the same exhaustion exits 0 and writes the same bytes.
     "compare-exhausting": (

@@ -1,0 +1,157 @@
+"""Recorded values are evaluated in byte-bounded chunks.
+
+Each record's ``f_tilde``, ``f_true`` and Lyapunov value must equal the
+single-point functions at the record's own state bit for bit, across
+chunk boundaries, whether the problem's parts have a row kernel (least
+squares, ``l1_residual``) or are read point by point; and the chunk's
+memory must not grow with the number of records.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from smoothflow import (
+    CompositeProblem,
+    PowerDecay,
+    ReciprocalMu,
+    SmoothPart,
+    advance,
+    initial_state,
+    integrate_rk45,
+    l1_residual,
+    lyapunov_continuous,
+    lyapunov_discrete,
+    quadratic_least_squares,
+    run_sgm,
+    smoothed_value,
+    sqrt_l2_approx,
+)
+from smoothflow.errors import InvalidParameterError
+from smoothflow.harness import ExperimentConfig, generate_problem
+
+# A chunk holds 2**14 floats of x and residual rows; with 500 rows that
+# is about 32 records, so the short runs below cross several boundaries.
+ROWS = 500
+
+
+def l1_problem(smoothing):
+    cfg = ExperimentConfig(n_x=4, n_a=8, n_c=ROWS, rng_seed=5, smoothing=smoothing)
+    return generate_problem(cfg)
+
+
+def sqrt_l2_problem():
+    """||A x||^2 + sqrt(x^2 + mu^2) - mu in one dimension; h has no residual."""
+    a = np.random.default_rng(1).standard_normal((ROWS, 1))
+    return CompositeProblem(
+        f=quadratic_least_squares(a, np.zeros(ROWS)), h=sqrt_l2_approx(1), optimum=np.zeros(1)
+    )
+
+
+def custom_part_problem():
+    """A user SmoothPart ||x - x*||^2 with the l1 term; f has no residual."""
+    rng = np.random.default_rng(2)
+    x_star = rng.standard_normal(4)
+    c = rng.standard_normal((ROWS, 4))
+    f = SmoothPart(
+        value=lambda x: float((x - x_star) @ (x - x_star)),
+        grad=lambda x: 2.0 * (x - x_star),
+        sigma=2.0,
+        lipschitz=2.0,
+        input_dim=4,
+    )
+    return CompositeProblem(f=f, h=l1_residual(c, c @ x_star, "sqrt_l2"), optimum=x_star)
+
+
+def smooth_only_problem():
+    rng = np.random.default_rng(3)
+    x_star = rng.standard_normal(4)
+    a = rng.standard_normal((ROWS, 4))
+    return CompositeProblem(f=quadratic_least_squares(a, a @ x_star), h=None, optimum=x_star)
+
+
+PROBLEMS = {
+    "l1-sqrt_l2": lambda: l1_problem("sqrt_l2"),
+    "l1-huber_l2": lambda: l1_problem("huber_l2"),
+    "sqrt_l2_approx": sqrt_l2_problem,
+    "custom-part": custom_part_problem,
+    "h-none": smooth_only_problem,
+}
+
+
+def chunk_records(problem):
+    return 2**14 // (problem.input_dim + ROWS)
+
+
+def assert_python_floats(*values):
+    assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_records_equal_single_point_values(name):
+    problem = PROBLEMS[name]()
+    x0 = np.full(problem.input_dim, 3.0)
+    sched = PowerDecay(mu0=1.0, gamma=0.5)
+    traj = run_sgm(problem, sched, x0, max_steps=100)
+    assert len(traj.records) > 2 * chunk_records(problem)
+    state = initial_state(sched, problem.f.lipschitz, problem.alpha)
+    for r in traj.records:
+        assert r.k == state.k
+        assert_python_floats(r.f_tilde, r.f_true, r.lyapunov)
+        assert r.f_tilde == smoothed_value(problem, r.x, r.mu)
+        assert r.f_true == problem.true_value(r.x)
+        assert r.lyapunov == lyapunov_discrete(problem, state, r.x)
+        state = advance(sched, state, problem.f.sigma, problem.f.lipschitz, problem.alpha)
+
+
+@pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
+def test_rk45_samples_equal_single_point_values(smoothing):
+    problem = l1_problem(smoothing)
+    design = ReciprocalMu(1.0, 1.0, t0=1.0)
+    x0 = np.full(problem.input_dim, 3.0)
+    samples = integrate_rk45(problem, design, x0, 1.0, 1.5, 1e-6, 1e-8)
+    assert len(samples) > 2 * chunk_records(problem)
+    sigma, beta = problem.f.sigma, problem.beta
+    for s in samples:
+        assert_python_floats(s.f_true, s.lyapunov_v)
+        assert s.f_true == problem.true_value(s.x)
+        assert s.lyapunov_v == lyapunov_continuous(problem, s.x, s.t, 1.0, sigma, beta, design)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("copies,mu", [(2, [1.0, 0.0]), (1, [0.5, math.nan])])
+def test_chunk_values_reject_a_non_positive_mu(name, copies, mu):
+    # As smoothed(mu) does for one point: a chunk read, or one point read at every mu.
+    from smoothflow.problem import _ValueChunk
+
+    problem = PROBLEMS[name]()
+    point = problem.point(np.ones(problem.input_dim))
+    chunk = _ValueChunk(point, copies)
+    for _ in range(copies):
+        chunk.add(point)
+    with pytest.raises(InvalidParameterError, match="mu must be > 0"):
+        chunk.values(np.array(mu))
+
+
+def monitor_overhead(problem, steps):
+    """Peak minus retained traced memory of one fully recorded run."""
+    sched = PowerDecay(mu0=1.0, gamma=0.5, t0=1.0)
+    tracemalloc.start()
+    try:
+        traj = run_sgm(problem, sched, np.zeros(problem.input_dim), max_steps=steps)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) == steps + 1
+    return peak - current
+
+
+def test_monitor_memory_is_flat_in_the_step_count():
+    # Keeping every record's residuals until the end would grow this by
+    # about 8 MB from 4k to 16k steps; one chunk at a time keeps it flat.
+    problem = generate_problem(ExperimentConfig(n_x=10, n_a=20, n_c=50, rng_seed=0))
+    short, long = monitor_overhead(problem, 4000), monitor_overhead(problem, 16000)
+    assert abs(long - short) <= 512 * 1024
+    assert long < 4 * 2**20
