@@ -213,7 +213,8 @@ def fit_rate(series, model, window):
 
     Models: "power" regresses log v on log k; "power_log" regresses
     log v - log log k on log k (a power law with a log k factor);
-    "inv_log" regresses v on 1/log k.
+    "inv_log" regresses v on 1/log k. Every model needs k > 1 inside
+    the window, where log k > 0.
     """
     ks = np.array([float(k) for k, _ in series])
     vs = np.array([float(v) for _, v in series])
@@ -225,7 +226,7 @@ def fit_rate(series, model, window):
         raise InvalidSeriesError(f"window {window} contains {ks.size} points, need >= 10")
     if np.any(vs <= 0.0):
         raise InvalidSeriesError("series values inside the window must be positive")
-    if model in ("power", "power_log") and np.any(ks <= 1.0):
+    if np.any(ks <= 1.0):
         raise InvalidSeriesError(f"model {model!r} needs k > 1 inside the window")
     if model == "power":
         xs = np.log(ks)

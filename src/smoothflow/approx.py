@@ -390,93 +390,80 @@ class _L1Residual(SmoothApprox):
     def branch_distance(self, x, mu):
         if not self._huber:
             return math.inf
-        return float(np.min(np.abs(self.point(x).magnitudes() - mu)))
+        return float(np.min(np.abs(np.abs(self.point(x)._r) - mu)))
 
 
-def _smoothed_abs(huber, r, a, mu, shared):
-    """The per-row surrogate of |r| at mu, from |r| (``a``) and ``shared``.
+def _l1_smoothed(huber, r, mu):
+    """The surrogate of ||r||_1 at mu: the per-row surrogates of |r|, summed.
 
-    ``shared`` is the ``|r| <= mu`` mask for Huber and ``hypot(r, mu)``
-    for the sqrt smoother. ``r`` holds one residual row or a chunk of
-    them, with ``mu`` a scalar or a column; the elementwise operations
-    are the same either way.
+    ``r`` holds one residual row with ``mu`` a scalar, or a chunk of
+    rows with ``mu`` a column (or one row read at every mu); each sum is
+    one ``np.add.reduce`` over the last axis, so a row of a chunk reads
+    the same bits as that row alone.
     """
     if huber:
-        return np.where(shared, a * a / (2.0 * mu), a - 0.5 * mu)
-    return shared - mu
+        a = np.abs(r)
+        per = np.where(a <= mu, a * a / (2.0 * mu), a - 0.5 * mu)
+    else:
+        per = np.hypot(r, mu) - mu
+    return np.add.reduce(per, axis=-1)
 
 
-def _mu_shared(huber, r, a, mu):
-    """What the value and the gradient at one mu share (see ``_smoothed_abs``)."""
-    return a <= mu if huber else np.hypot(r, mu)
+def _l1_exact(r):
+    """||r||_1 per row of ``r``, the reduction of ``_l1_smoothed``."""
+    return np.add.reduce(np.abs(r), axis=-1)
+
+
+def _l1_coefficient(huber, r, mu, out=None):
+    """The derivative of each row's surrogate of |r| at mu, written to ``out`` if given.
+
+    For Huber it is clip(r/mu, -1, 1), bit for bit where(|r| <= mu,
+    r/mu, sign(r)): division rounds monotonically and gives exactly +-1
+    at |r| = mu, so r/mu lies beyond +-1 exactly where |r| > mu, and
+    +-0, +-inf and NaN map alike. For the sqrt smoother it is
+    r / hypot(r, mu).
+    """
+    if huber:
+        coeff = np.divide(r, mu, out=out)
+        return coeff.clip(-1.0, 1.0, out=coeff)
+    coeff = np.hypot(r, mu, out=out)
+    return np.divide(r, coeff, out=coeff)
 
 
 class _L1Point:
     """``l1_residual`` at one x: r = C x - d is formed once.
 
-    What depends on mu as well (``hypot(r, mu)`` for the sqrt smoother,
-    the ``|r| <= mu`` mask for Huber) is kept for the last mu, so the
-    gradient and the value at one mu share it, and mu is checked once
-    per value. Every sum is ``np.add.reduce`` over the last axis, the
-    reduction ``_chunk`` runs on each row of a chunk of residuals.
+    The values and gradients at every mu are read from ``_r``
+    through the kernels the stacked ``CompositePoint`` uses.
     """
 
-    __slots__ = ("_mat", "_huber", "_r", "_abs", "_mu", "_shared")
+    __slots__ = ("_mat", "_huber", "_r")
 
     def __init__(self, term, x):
         self._mat = term._c
         self._huber = term._huber
         self._r = self._mat @ x - term._d
-        self._abs = None
-        self._mu = math.nan  # unequal to every mu, so the first one is checked
-
-    def magnitudes(self):
-        """|r|, the per-row distances the exact value sums."""
-        if self._abs is None:
-            self._abs = np.abs(self._r)
-        return self._abs
-
-    def _at_mu(self, mu):
-        if mu != self._mu:
-            mu = SmoothApprox._check_mu(mu)
-            a = self.magnitudes() if self._huber else None
-            self._shared = _mu_shared(self._huber, self._r, a, mu)
-            self._mu = mu
-        return self._mu, self._shared
 
     def value(self, mu):
-        mu, shared = self._at_mu(mu)
-        per = _smoothed_abs(self._huber, self._r, self._abs, mu, shared)
-        return float(np.add.reduce(per, axis=-1))
+        mu = SmoothApprox._check_mu(mu)
+        return float(_l1_smoothed(self._huber, self._r, mu))
 
     def grad(self, mu):
-        mu, shared = self._at_mu(mu)
-        r = self._r
-        coeff = np.where(shared, r / mu, np.sign(r)) if self._huber else r / shared
-        return self._mat.T @ coeff
+        mu = SmoothApprox._check_mu(mu)
+        return self._mat.T @ _l1_coefficient(self._huber, self._r, mu)
 
     def grad_mu(self, mu):
-        mu, shared = self._at_mu(mu)
+        mu = SmoothApprox._check_mu(mu)
+        r = self._r
         if self._huber:
-            a = self._abs
-            per = np.where(shared, -a * a / (2.0 * mu * mu), -0.5)
+            a = np.abs(r)
+            per = np.where(a <= mu, -a * a / (2.0 * mu * mu), -0.5)
         else:
-            per = mu / shared - 1.0
+            per = mu / np.hypot(r, mu) - 1.0
         return float(np.add.reduce(per, axis=-1))
 
     def exact(self):
-        return float(np.add.reduce(self.magnitudes(), axis=-1))
-
-    def _chunk(self, r, mu):
-        """h_tilde at ``mu`` and h at each row of stacked residuals ``r`` of this term.
-
-        One row per point, with ``mu`` a column (checked by the caller),
-        or a single row read at every mu.
-        """
-        a = np.abs(r)
-        shared = _mu_shared(self._huber, r, a, mu)
-        per = _smoothed_abs(self._huber, r, a, mu, shared)
-        return np.add.reduce(per, axis=-1), np.add.reduce(a, axis=-1)
+        return float(_l1_exact(self._r))
 
 
 def l1_residual(c, d, smoothing):

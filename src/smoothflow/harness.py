@@ -5,7 +5,7 @@ The benchmark family is least squares plus an l1 residual term,
     minimize ||A x - b||^2 + ||C x - d||_1,
 
 with A, C and the planted solution x* drawn from the package's
-reproducible normal sampler and b = A x*, d = C x*. Both residuals
+reproducible normal sampler and [b; d] = [A; C] x*. Both residuals
 vanish at x*, so the optimal value is exactly 0 and x* is a known
 optimum. n_A >= n_x makes the quadratic part strongly convex with
 overwhelming probability; n_A < n_x forces sigma = 0. The config's
@@ -125,14 +125,14 @@ def generate_problem(cfg):
     a = rng.normals((cfg.n_a, cfg.n_x))
     c = rng.normals((cfg.n_c, cfg.n_x))
     x_star = rng.normals(cfg.n_x)
-    b = a @ x_star
-    # d comes from the same matmul the l1 term evaluates, so the
-    # residuals at x* are zero bit-for-bit and the optimal value is
-    # exactly 0.
-    d = c @ x_star
+    # [b; d] is the one stacked product M x* with M = [A; C], the product
+    # every point of the problem forms, so the residuals at x* are zero
+    # bit for bit and the optimal value is exactly 0. BLAS blocks the
+    # rows of M, so b can differ from A @ x* in its last bits.
+    e = np.vstack((a, c)) @ x_star
     return CompositeProblem(
-        f=quadratic_least_squares(a, b),
-        h=l1_residual(c, d, cfg.smoothing),
+        f=quadratic_least_squares(a, e[: cfg.n_a]),
+        h=l1_residual(c, e[cfg.n_a :], cfg.smoothing),
         optimum=x_star,
         optimal_value=0.0,
     )

@@ -9,11 +9,12 @@ per-mu smoothness constant ``L + alpha/mu``.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ._linalg import gram_error, symmetric_eigenvalues
+from .approx import _L1Residual, _l1_coefficient, _l1_exact, _l1_smoothed
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -107,11 +108,6 @@ class _LeastSquaresPoint:
     def grad(self):
         return 2.0 * (self._a.T @ self._r)
 
-    @staticmethod
-    def _chunk(r):
-        """f at each row of stacked residuals ``r``, one row per point."""
-        return _sum_of_squares(r)
-
 
 def quadratic_least_squares(a, b):
     """Least-squares objective ||A x - b||^2 (no 1/2 factor).
@@ -150,12 +146,59 @@ def quadratic_least_squares(a, b):
     )
 
 
+class _Stacked(NamedTuple):
+    """A least-squares f and an ``l1_residual`` h (or none) as one affine map.
+
+    The first ``n_a`` rows of ``m`` and ``e`` are f's ``A`` and ``b``,
+    the rest h's ``C`` and ``d``; ``mt`` is ``m.T``. ``huber`` names h's
+    smoother, and is None when there is no h.
+    """
+
+    m: np.ndarray
+    mt: np.ndarray
+    e: np.ndarray
+    n_a: int
+    huber: Optional[bool]
+
+    @classmethod
+    def of(cls, f, h):
+        """The stacked map of ``f`` and ``h``, or None unless both are built-in affine parts."""
+        point = f.point
+        if not (isinstance(point, functools.partial) and point.func is _LeastSquaresPoint):
+            return None
+        a, b = point.args
+        if h is None:
+            return cls(a, a.T, b, a.shape[0], None)
+        if type(h) is not _L1Residual:
+            return None
+        m = np.vstack((a, h._c))
+        return cls(m, m.T, np.concatenate((b, h._d)), a.shape[0], h._huber)
+
+    def smoothed(self, r, mu):
+        """F(x, mu) at residual rows ``r``: one row with a scalar mu, or rows with a mu column."""
+        f = _sum_of_squares(r[..., : self.n_a])
+        if self.huber is None:
+            return f
+        return f + _l1_smoothed(self.huber, r[..., self.n_a :], mu)
+
+    def exact(self, r):
+        """F(x) at residual rows ``r``."""
+        f = _sum_of_squares(r[..., : self.n_a])
+        if self.huber is None:
+            return f
+        return f + _l1_exact(r[..., self.n_a :])
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     """F = f + h with a smooth surrogate for h and an optional known optimum.
 
     ``h`` may be None for purely smooth problems (the surrogate terms
-    then drop out and ``alpha = beta = 0``).
+    then drop out and ``alpha = beta = 0``). When f is a
+    ``quadratic_least_squares`` part and h an ``l1_residual`` (or None),
+    their matrices and offsets are stacked once, here, into
+    ``M = [A; C]`` and ``e = [b; d]``, and every point forms the one
+    residual ``M x - e`` (see ``CompositePoint``).
     """
 
     f: SmoothPart
@@ -163,12 +206,14 @@ class CompositeProblem:
     optimum: Optional[np.ndarray] = None
     optimal_value: Optional[float] = None
     fingerprint: str = field(default="", compare=False)
+    _stacked: Optional[_Stacked] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.h is not None and self.h.input_dim != self.f.input_dim:
             raise DimensionMismatchError(
                 f"f has dimension {self.f.input_dim}, h has {self.h.input_dim}"
             )
+        object.__setattr__(self, "_stacked", _Stacked.of(self.f, self.h))
         if self.optimum is not None:
             opt = np.asarray(self.optimum, dtype=float).reshape(-1)
             if opt.shape[0] != self.f.input_dim:
@@ -229,28 +274,39 @@ def _check_mu(mu):
 class CompositePoint:
     """F at one x: the gradient, F(x, mu) and F(x) from one pass over x.
 
-    The residuals inside f and h (``A x - b``, ``C x + d``) are formed
-    when the point is built; everything else is computed on request, so
-    a point read only for its gradient costs no more than the gradient.
-    The shape of ``x`` is checked once, by ``h``'s point (or here when
-    there is no ``h``), and ``mu`` by ``h``'s point once per value of mu.
+    On a stacked problem (a least-squares f and an ``l1_residual`` h, or
+    no h) the point forms the one residual ``r = M x - e`` when it is
+    built. The gradient is one product ``M^T w``, with
+    ``w = [2 r_A; coeff(r_C, mu)]`` written into one buffer; its last
+    bits depend on how BLAS blocks the rows of ``M``, so they may differ
+    from ``f.grad + h.grad_x``, which sum two products. The values sum
+    the rows of ``r`` with the kernels ``_ValueChunk`` runs on a chunk
+    of points. Any other problem reads its parts' own points: the
+    residuals inside them are formed when the point is built.
+
+    Everything else is computed on request, so a point read only for its
+    gradient costs no more than the gradient. The shape of ``x`` is
+    checked once, here or by ``h``'s point, and ``mu`` on every read.
     """
 
-    __slots__ = ("x", "_f", "_h", "_fx")
+    __slots__ = ("x", "_stacked", "_r", "_f", "_h", "_fx")
 
     def __init__(self, problem, x):
         x = np.asarray(x, dtype=float)
-        if problem.h is None:
-            if x.shape != (problem.input_dim,):
-                raise DimensionMismatchError(
-                    f"expected input of shape ({problem.input_dim},), got {x.shape}"
-                )
-            self._h = None
+        stacked = self._stacked = problem._stacked
+        if (stacked is not None or problem.h is None) and x.shape != (problem.input_dim,):
+            raise DimensionMismatchError(
+                f"expected input of shape ({problem.input_dim},), got {x.shape}"
+            )
+        if stacked is not None:
+            r = stacked.m @ x
+            r -= stacked.e
+            self._r = r
         else:
-            self._h = problem.h.point(x)
-        self._f = problem.f.point(x)
+            self._h = None if problem.h is None else problem.h.point(x)
+            self._f = problem.f.point(x)
+            self._fx = None
         self.x = x
-        self._fx = None
 
     def _f_value(self):
         if self._fx is None:
@@ -259,6 +315,16 @@ class CompositePoint:
 
     def grad(self, mu):
         """grad_x F(x, mu)."""
+        stacked = self._stacked
+        if stacked is not None:
+            _check_mu(mu)
+            r = self._r
+            n_a = stacked.n_a
+            w = np.empty_like(r)
+            np.multiply(r[:n_a], 2.0, out=w[:n_a])
+            if stacked.huber is not None:
+                _l1_coefficient(stacked.huber, r[n_a:], mu, out=w[n_a:])
+            return stacked.mt @ w
         if self._h is None:
             _check_mu(mu)
             return self._f.grad()
@@ -266,6 +332,9 @@ class CompositePoint:
 
     def smoothed(self, mu):
         """F(x, mu) = f(x) + h_tilde(x, mu)."""
+        if self._stacked is not None:
+            _check_mu(mu)
+            return float(self._stacked.smoothed(self._r, mu))
         if self._h is None:
             _check_mu(mu)
             return float(self._f_value())
@@ -273,6 +342,8 @@ class CompositePoint:
 
     def exact(self):
         """F(x) with the exact h."""
+        if self._stacked is not None:
+            return float(self._stacked.exact(self._r))
         if self._h is None:
             return float(self._f_value())
         return float(self._f_value() + self._h.exact())
@@ -281,39 +352,32 @@ class CompositePoint:
 class _ValueChunk:
     """F(x, mu) and F(x) at up to ``cap`` points of one problem, read together.
 
-    When each part's point type has a row kernel (``_chunk``: least
-    squares, ``l1_residual``), ``add`` copies the point's residual rows
-    into buffers allocated once and keeps nothing else of it, and
-    ``values`` makes one pass over the rows. Each sum is one
-    ``np.add.reduce`` over a row, the kernel the points' own
-    ``smoothed`` and ``exact`` run on their one row, so every value
-    equals the single-point one bit for bit. Otherwise the points are
-    kept and read one at a time.
+    On a stacked problem ``add`` copies the point's residual row into a
+    buffer allocated once and keeps nothing else of it, and ``values``
+    makes one pass over the rows. Each sum is one ``np.add.reduce``
+    over a row, the kernel the points' own ``smoothed`` and ``exact``
+    run on their one row, so every value equals the single-point one bit
+    for bit. Otherwise the points are kept and read one at a time.
     """
 
-    __slots__ = ("_parts", "_rows", "_points", "_n")
+    __slots__ = ("_stacked", "_rows", "_points", "_n")
 
     def __init__(self, point, cap):
-        parts = [p for p in (point._f, point._h) if p is not None]
-        if all(hasattr(type(p), "_chunk") for p in parts):
-            self._parts = parts
-            self._rows = [np.empty((cap, p._r.size)) for p in parts]
-        else:
-            self._parts = self._rows = None
+        self._stacked = point._stacked
+        self._rows = None if self._stacked is None else np.empty((cap, point._r.size))
         self._points = []
         self._n = 0
 
     @staticmethod
     def row_floats(point):
-        """Floats in the residual rows of ``point``'s parts that have a row kernel."""
-        return sum(p._r.size for p in (point._f, point._h) if hasattr(type(p), "_chunk"))
+        """Floats in the residual row that ``add`` copies from ``point`` (0 when it keeps it)."""
+        return 0 if point._stacked is None else point._r.size
 
     def add(self, point):
         if self._rows is None:
             self._points.append(point)
         else:
-            for rows, part in zip(self._rows, (point._f, point._h)):
-                rows[self._n] = part._r
+            self._rows[self._n] = point._r
         self._n += 1
 
     def values(self, mu):
@@ -330,11 +394,9 @@ class _ValueChunk:
             )
         for bad in mu[~(mu > 0.0)][:1]:
             _check_mu(float(bad))
-        f = self._parts[0]._chunk(self._rows[0][: self._n])
-        if len(self._parts) == 1:
-            return np.broadcast_to(f, mu.shape), f
-        h_tilde, h = self._parts[1]._chunk(self._rows[1][: self._n], mu[:, None])
-        return f + h_tilde, f + h
+        rows = self._rows[: self._n]
+        smoothed = self._stacked.smoothed(rows, mu[:, None])
+        return np.broadcast_to(smoothed, mu.shape), self._stacked.exact(rows)
 
     def clear(self):
         self._points = []

@@ -173,6 +173,13 @@ class TestFitRate:
         with pytest.raises(InvalidSeriesError):
             fit_rate(series, "power_log", (1, 49))
 
+    @pytest.mark.parametrize("model", ["power", "power_log", "inv_log"])
+    def test_every_model_requires_k_above_one(self, model):
+        # 1/log(1) = inf made inv_log return NaNs with a RuntimeWarning.
+        series = [(k, 1.0 / (k + 1)) for k in range(1, 50)]
+        with pytest.raises(InvalidSeriesError, match="needs k > 1"):
+            fit_rate(series, model, (1, 49))
+
 
 class TestBoundSeriesRates:
     """Log-log behavior of the analytical bound along power schedules.

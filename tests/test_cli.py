@@ -177,6 +177,13 @@ class TestOutputs:
         assert payload["series"]["model"] == "power"
         assert payload["series"]["exponent"] < 0.0
 
+    def test_rate_fit_window_with_k_one_is_config_error(self, tmp_path, capsys):
+        # inv_log regresses on 1/log k; at k = 1 it wrote NaNs and exited 0.
+        cfg = write_config(tmp_path, STRONG)
+        args = ["rate-fit", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert run(args + ["--model", "inv_log", "--window-min", "1"]) == 2
+        assert "needs k > 1" in capsys.readouterr().err
+
     def test_compare_has_both_series(self, tmp_path):
         cfg = write_config(tmp_path, CONTINUOUS)
         out = tmp_path / "out"
@@ -238,14 +245,14 @@ def test_byte_determinism(tmp_path, command, payload, artifact):
 # updates the values and says why. They assume the matrix products round
 # as in the numpy/BLAS build they were recorded with.
 GOLDEN = {
-    ("sqrt_l2", "solve-sgm"): "45a3afc248637698aa570dad4107602c975d34b98528cdf54de3ec8f2e667541",
-    ("sqrt_l2", "solve-sgf-euler"): "892cad0edab0eec558cc45954ef84143942386289edf0c5cf2b130d2a9e9404c",
-    ("sqrt_l2", "solve-sgf-rk45"): "ba4c19b254d9cf653d8229fbbdab4114f6ddeeac01483a11eeed8bd2987cb936",
-    ("sqrt_l2", "compare"): "b826498bb58a23d3566b170b9a197f69c178a8cd8c0f6e986cc52c60ce581063",
-    ("huber_l2", "solve-sgm"): "31a560fd3dbb0f8e1a89faffd383468ea6e3d9cc9cbeb9534dea1e0c96095570",
-    ("huber_l2", "solve-sgf-euler"): "01693192d18989572cfc36b2c9eda6f2f2d7f7d07d51a96b49505b6bbca62805",
-    ("huber_l2", "solve-sgf-rk45"): "952d71e632db82c31b589962c811fdd92162d57d3ce901b692ae3008e0a2e512",
-    ("huber_l2", "compare"): "cc29637aab0ea6a7b586be8b69b28d730454e9db5b88f55d2025c892325e6835",
+    ("sqrt_l2", "solve-sgm"): "e56dc45d817e57b7968f91a68177207a0d696662caf3f14b0506937c3b48a583",
+    ("sqrt_l2", "solve-sgf-euler"): "36cb01048ae9fd3c4052ff3a2d2fb55dc00379edf7f892d66dd64f47aa99dd70",
+    ("sqrt_l2", "solve-sgf-rk45"): "bdbc292fc03e10b6bd2c69d7c13a89aa33c36347f69255fc265f7a878befcbd1",
+    ("sqrt_l2", "compare"): "97359db830d7538b433ee458e67f9bbd713cf659ed6f3349c5bc3300ee782a4d",
+    ("huber_l2", "solve-sgm"): "182a3d1fdec3a213ebd3a18b12beee3229f52aba06f0dceb72c1f47cf6db7d92",
+    ("huber_l2", "solve-sgf-euler"): "b85a92a669d5098ec7d1b2fca194c70b813eeb644ab9013b4ef54409c2408fa9",
+    ("huber_l2", "solve-sgf-rk45"): "4c96462337dcbe4bef36f64d94954faf9cc1859d8b9b7dbc25ec111a44748ff9",
+    ("huber_l2", "compare"): "3eb00bfd961a0d408d582864514dbec74d723c03d9b280241d6a455afbfaee65",
 }
 
 
@@ -317,7 +324,7 @@ def test_overflowing_lyapunov_reads_inf_not_nan(tmp_path):
 RECIPROCAL = dict(
     CONTINUOUS, schedule={"name": "continuous-reciprocal", "mu0": 1.0, "p": 1.0, "t0": 1.0}
 )
-GOLDEN_RECIPROCAL_RK45 = "91dc6e3664964df68fd1a07b411fc46b4d84d89b1614a26aed1d4af84f229735"
+GOLDEN_RECIPROCAL_RK45 = "afa0798964866ad685b1c1b7994b2fb706805722f447c24c8e1d4d06f0c5bee7"
 
 
 def test_golden_reciprocal_flow_hash(tmp_path):
@@ -331,9 +338,9 @@ def test_golden_reciprocal_flow_hash(tmp_path):
 # (the six fields). flow_rk45.csv does not carry x, so only these pin
 # the integrated state bit for bit; same contract as GOLDEN.
 GOLDEN_RK45_STATE = {
-    "sqrt_l2": "6844d3ea2031f8e507c1356aa4ce095e598de9bf66e4b1efab5e89cbcc3f6223",
-    "huber_l2": "a0e3912dba377ee9f24977790e63f4ecb2246b59d9a9fd4e1c9d68eeb180e3af",
-    "reciprocal": "d10bef603e544db1accdafbef769c4e2cc18f42062908b7c987097722260a839",
+    "sqrt_l2": "a734a9c28ebfc90638adfcea930c724a5ba1817eeedd7e3a408548bd49dcf584",
+    "huber_l2": "396dc5a900a26b26a1967b813120d450e0b02756e813b35029588de6826a6733",
+    "reciprocal": "3a50ca785fb33ce0ecef24739186673b401eabfe650b798405555ae2e83682c4",
 }
 
 
@@ -446,7 +453,7 @@ def test_rk45_warns_once_when_gap_exceeds_bound(tmp_path, capsys):
     assert f" {len(above)} of {len(cols['t'])} samples" in err
     assert f"first at t = {above[0]!r}" in err
     assert file_hash(out / "flow_rk45.csv") == (
-        "f16fcf784c2320dd61f32dd82e1ef6b7836ef7bb9ebd0e29dc7ea2d96ad717af"
+        "b017bd6bef2cf591abf7044075a0d401a345d5454fff4f84496299a1d01c9000"
     )
 
 
@@ -493,7 +500,7 @@ GOLDEN_PATHS = {
         SIGMA0,
         ["solve-sgm"],
         "trajectory.csv",
-        "96b794c840e8e27f3d1c425287d8c096ac60f54c3ccff799fd4f2b1e4a380302",
+        "12408b105208a605759629185dec1a0bf5d26ace71285d7258097455b2daeb64",
     ),
     "rate-fit-sigma0": (
         SIGMA0,
@@ -505,19 +512,19 @@ GOLDEN_PATHS = {
         SIGMA0_CONTINUOUS,
         ["solve-sgf-euler"],
         "flow_euler.csv",
-        "66d5af16838ba73043478e1901f53f0be38550d5aa08acff21453052bef7cbb2",
+        "a44cf765e5149f135a7df931559e037bce48d60b230adf4d34330ace2e8aa1ce",
     ),
     "solve-sgm-x0": (
         SIGMA0_X0,
         ["solve-sgm"],
         "trajectory.csv",
-        "cdb218b720387d5234f910ee9d053fadbcf96eb2f65f9211d24b9c58d69283bb",
+        "292e956720183e4f40f7f6d909ed53f905379f6ecc655cccb10bcd90f916e01a",
     ),
     "solve-sgf-rk45-json": (
         CONTINUOUS,
         ["solve-sgf-rk45", "--format", "json"],
         "flow_rk45.json",
-        "35b1477fa5813b3ed61597abb33a2d638b7c2463cd858ed0aeba06ab87ced02e",
+        "909b049f414a62849075225681ffe53e6a8ebd919232a7e5a6ef926e495c0cbd",
     ),
     "bounds-exponential": (
         None,

@@ -37,8 +37,8 @@ from smoothflow.harness import ExperimentConfig, generate_problem
 ROWS = 500
 
 
-def l1_problem(smoothing):
-    cfg = ExperimentConfig(n_x=4, n_a=8, n_c=ROWS, rng_seed=5, smoothing=smoothing)
+def l1_problem(smoothing, n_a=8):
+    cfg = ExperimentConfig(n_x=4, n_a=n_a, n_c=ROWS, rng_seed=5, smoothing=smoothing)
     return generate_problem(cfg)
 
 
@@ -75,9 +75,21 @@ def smooth_only_problem():
 PROBLEMS = {
     "l1-sqrt_l2": lambda: l1_problem("sqrt_l2"),
     "l1-huber_l2": lambda: l1_problem("huber_l2"),
+    # n_A = 7 leaves a partial block of BLAS's 4 rows in the stacked product.
+    "l1-huber_l2-7-rows": lambda: l1_problem("huber_l2", n_a=7),
     "sqrt_l2_approx": sqrt_l2_problem,
     "custom-part": custom_part_problem,
     "h-none": smooth_only_problem,
+}
+
+
+# Least squares with l1_residual or no h: one stacked residual row a
+# point, of n_A + n_C floats.
+STACKED_ROWS = {
+    "l1-sqrt_l2": 8 + ROWS,
+    "l1-huber_l2": 8 + ROWS,
+    "l1-huber_l2-7-rows": 7 + ROWS,
+    "h-none": ROWS,
 }
 
 
@@ -118,6 +130,17 @@ def test_rk45_samples_equal_single_point_values(smoothing):
         assert_python_floats(s.f_true, s.lyapunov_v)
         assert s.f_true == problem.true_value(s.x)
         assert s.lyapunov_v == lyapunov_continuous(problem, s.x, s.t, 1.0, sigma, beta, design)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_stacked_problems_chunk_one_residual_row(name):
+    # So the records tests above cover the stacked path on these
+    # problems and the point-by-point path on the others.
+    from smoothflow.problem import _ValueChunk
+
+    problem = PROBLEMS[name]()
+    point = problem.point(np.ones(problem.input_dim))
+    assert _ValueChunk.row_floats(point) == STACKED_ROWS.get(name, 0)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -29,6 +29,8 @@ from smoothflow.errors import (
 from smoothflow.rng import Xoshiro256pp
 from smoothflow.solver import STATUS_BUDGET, STATUS_SCHEDULE, STATUS_TOLERANCE
 
+from conftest import SEED
+
 
 def scalar_abs_problem():
     """min |x|: f == 0, h the sqrt surrogate of |.| (L=0, sigma=0, alpha=beta=1)."""
@@ -205,11 +207,25 @@ class TestRunSgm:
         assert traj.final.grad_norm < traj.records[0].grad_norm
 
 
+# The generated problem's data, drawn as generate_problem draws it.
+def generated_data(seed, n_x, n_a, n_c):
+    rng = Xoshiro256pp(seed)
+    a = rng.normals((n_a, n_x))
+    c = rng.normals((n_c, n_x))
+    x_star = rng.normals(n_x)
+    e = np.vstack((a, c)) @ x_star
+    return a, e[:n_a], c, e[n_a:]
+
+
 class TestAgainstDirectLoop:
     def test_iterates_match_bruteforce_recursion(self, strongly_convex_problem):
         # a from-scratch implementation of the recursion, kept independent
-        # of ScheduleState/run_sgm bookkeeping
+        # of ScheduleState/run_sgm bookkeeping: one residual over the
+        # stacked rows [A; C] x - [b; d], one transposed product for the
+        # gradient of ||A x - b||^2 + sum sqrt((c_i x - d_i)^2 + mu^2)
         p = strongly_convex_problem
+        a, b, c, d = generated_data(SEED, 10, 20, 50)
+        m, e = np.vstack((a, c)), np.concatenate((b, d))
         lipschitz, alpha = p.f.lipschitz, p.alpha
         mu0, gamma, t0 = 1.0, 0.5, 1.0
         x = np.zeros(10)
@@ -217,13 +233,33 @@ class TestAgainstDirectLoop:
         for k in range(200):
             mu = mu0 * (k + 1.0) ** (-gamma)
             s = 1.0 / (lipschitz + alpha / mu)
-            g = p.f.grad(x) + p.h.grad_x(x, mu)
-            x = x - s * g
+            r = m @ x - e
+            w = np.concatenate((2.0 * r[:20], r[20:] / np.hypot(r[20:], mu)))
+            x = x - s * (m.T @ w)
             xs.append(x.copy())
         traj = run_sgm(p, PowerDecay(mu0=mu0, gamma=gamma, t0=t0), np.zeros(10), 200)
         assert len(traj.records) == 201
         for rec, expected in zip(traj.records, xs):
             assert np.array_equal(rec.x, expected)
+
+    def test_iterates_match_per_part_gradients(self, strongly_convex_problem):
+        # The parts' own gradients f.grad + h.grad_x sum two products, so
+        # they differ from the stacked product in the last bits. Each
+        # step's gradient differs by at most about 70 eps relative (one
+        # dot product of 70 terms each way), and gradient steps on this
+        # strongly convex problem do not amplify a perturbation, so 200
+        # steps stay within 200 * 70 eps ~ 3e-12 of the scale of x.
+        # The tolerance, 1e-10, was set before the runs were compared.
+        p = strongly_convex_problem
+        mu0, gamma = 1.0, 0.5
+        x = np.zeros(10)
+        traj = run_sgm(p, PowerDecay(mu0=mu0, gamma=gamma, t0=1.0), x, 200)
+        for k, rec in enumerate(traj.records):
+            scale = max(1.0, float(np.max(np.abs(x))))
+            assert np.max(np.abs(rec.x - x)) <= 1e-10 * scale
+            mu = mu0 * (k + 1.0) ** (-gamma)
+            s = 1.0 / (p.f.lipschitz + p.alpha / mu)
+            x = x - s * (p.f.grad(x) + p.h.grad_x(x, mu))
 
 
 class TestLyapunovDiscrete:
@@ -442,19 +478,19 @@ def test_record_stride_must_be_positive(strongly_convex_problem, zero_x0, stride
 
 @pytest.mark.parametrize("stride", [1, 4, 100])
 def test_one_residual_pass_per_iterate(strongly_convex_problem, zero_x0, monkeypatch, stride):
-    # Count the points built on the l1 term: each forms C x + d once.
-    # A recorded step reads its gradient and its monitors from the same
-    # point, and an unrecorded step builds no more than a recorded one,
-    # so the count is one per iterate plus one at x* for the run.
-    h_type = type(strongly_convex_problem.h)
+    # Count the problem's points: each forms the stacked residual
+    # [A; C] x - [b; d] once. A recorded step reads its gradient and its
+    # monitors from the same point, and an unrecorded step builds no more
+    # than a recorded one, so the count is one per iterate plus one at x*
+    # for the run.
     built = []
-    original = h_type.point
+    original = CompositeProblem.point
 
     def counting_point(self, x):
         built.append(1)
         return original(self, x)
 
-    monkeypatch.setattr(h_type, "point", counting_point)
+    monkeypatch.setattr(CompositeProblem, "point", counting_point)
     steps = 12
     traj = run_sgm(
         strongly_convex_problem,

@@ -101,11 +101,12 @@ def test_generic_sum_matches_value_and_underlying(seed, n_x, n_terms, mu, scale)
 @given(seeds, dims, st.sampled_from(["none", "stacked", "generic"]), mus, mus, x_scales)
 def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
     rng = np.random.default_rng(seed)
-    f = quadratic_least_squares(rng.standard_normal((n_x + 2, n_x)), rng.standard_normal(n_x + 2))
-    h = {
-        "none": lambda: None,
-        "stacked": lambda: stacked_sum(rng, n_x, 5, "huber_l2")[0],
-        "generic": lambda: generic_sum(rng, n_x, 3),
+    a, b = rng.standard_normal((n_x + 2, n_x)), rng.standard_normal(n_x + 2)
+    f = quadratic_least_squares(a, b)
+    h, c, d = {
+        "none": lambda: (None, None, None),
+        "stacked": lambda: stacked_sum(rng, n_x, 5, "huber_l2"),
+        "generic": lambda: (generic_sum(rng, n_x, 3), None, None),
     }[kind]()
     p = CompositeProblem(f=f, h=h)
     x = scale * rng.standard_normal(n_x)
@@ -114,8 +115,28 @@ def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
     fx = f.value(x)
     if h is None:
         expected = [float(fx), float(fx)]
-    else:
+    elif kind == "generic":
         expected = [float(fx + h.value(x, mu)), float(fx + h.underlying_value(x))]
+    else:
+        # Exact against the segments of the one stacked residual: f's
+        # rows, then h's, each summed as the parts sum their own rows.
+        m, e = np.vstack((a, c)), np.concatenate((b, d))
+        r = m @ x - e
+        r_a, r_c = r[: n_x + 2], r[n_x + 2 :]
+        f_seg = np.add.reduce(r_a * r_a)
+        a_c = np.abs(r_c)
+        per = np.where(a_c <= mu, a_c * a_c / (2.0 * mu), a_c - 0.5 * mu)
+        expected = [float(f_seg + np.add.reduce(per)), float(f_seg + np.add.reduce(a_c))]
+        # Against the parts' own values, whose residuals come from two
+        # products: every row of r differs by at most 2 gamma_(n_x+1)
+        # times its magnitude |M| |x| + |e|, f by twice |r| times that,
+        # h by that (each surrogate is 1-Lipschitz in its row), and the
+        # sums by a few eps of their size; 1e-13 is a margin of about
+        # 30 over 2 gamma_7.
+        mag = np.abs(m) @ np.abs(x) + np.abs(e)
+        tol = 1e-13 * (mag @ (2.0 * np.abs(r) + 1.0) + fx + h.underlying_value(x))
+        assert abs(smoothed(mu) - (fx + h.value(x, mu))) <= tol
+        assert abs(exact - (fx + h.underlying_value(x))) <= tol
     assert [smoothed(mu), exact] == expected
     # One evaluation at x serves every mu (the monitors reuse F(x*, .)).
     assert smoothed(other_mu) == smoothed_value(p, x, other_mu)
