@@ -17,6 +17,7 @@ divergence, 4 schedule exhaustion under ``--strict``.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .errors import (
 from .flow import integrate_euler, integrate_rk45
 from .harness import (
     ExperimentConfig,
+    _schedule_param,
     flow_csv,
     generate_problem,
     json_envelope,
@@ -61,7 +63,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to an experiment config (JSON)")
     common.add_argument("--seed", type=int, help="override the config's rng_seed")
@@ -115,11 +119,24 @@ def _write(path, text):
         fh.write(text)
 
 
+def _run_param(cfg, name, kind, default):
+    """``run.<name>`` of the config as ``kind`` (int or float), ``default`` when absent."""
+    raw = cfg.run.get(name, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"run.{name} must be {what}, got {raw!r}") from exc
+
+
 def _x0(cfg):
     raw = cfg.run.get("x0")
     if raw is None:
         return np.zeros(cfg.n_x)
-    x0 = np.asarray(raw, dtype=float)
+    try:
+        x0 = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run.x0 must be a list of numbers: {exc}") from exc
     if x0.shape != (cfg.n_x,):
         raise ConfigError(f"x0 must have length {cfg.n_x}")
     return x0
@@ -196,8 +213,8 @@ def _cmd_solve_sgm(args):
         problem,
         sched,
         _x0(cfg),
-        max_steps=int(cfg.run.get("max_steps", _DEFAULT_MAX_STEPS)),
-        record_stride=int(cfg.run.get("record_stride", 1)),
+        max_steps=_run_param(cfg, "max_steps", int, _DEFAULT_MAX_STEPS),
+        record_stride=_run_param(cfg, "record_stride", int, 1),
     )
     return _emit_trajectory(args, cfg, traj, "trajectory")
 
@@ -212,8 +229,8 @@ def _cmd_solve_euler(args):
         problem,
         sched,
         _x0(cfg),
-        max_steps=int(cfg.run.get("max_steps", _DEFAULT_MAX_STEPS)),
-        record_stride=int(cfg.run.get("record_stride", 1)),
+        max_steps=_run_param(cfg, "max_steps", int, _DEFAULT_MAX_STEPS),
+        record_stride=_run_param(cfg, "record_stride", int, 1),
     )
     return _emit_trajectory(args, cfg, traj, "flow_euler")
 
@@ -237,9 +254,9 @@ def _rk45_leg(cfg, problem):
     if not isinstance(sched, ContinuousDriven):
         raise ConfigError("adaptive flow integration needs a continuous-* schedule")
     t0 = sched.t0
-    t_end = float(cfg.run.get("t_end", t0 + 1.0))
-    rtol = float(cfg.run.get("rtol", 1e-3))
-    atol = float(cfg.run.get("atol", 1e-6))
+    t_end = _run_param(cfg, "t_end", float, t0 + 1.0)
+    rtol = _run_param(cfg, "rtol", float, 1e-3)
+    atol = _run_param(cfg, "atol", float, 1e-6)
     counter = GradEvalCounter()
     samples = integrate_rk45(
         problem, sched.mu_of_t, _x0(cfg), t0, t_end, rtol, atol, counter=counter
@@ -283,7 +300,7 @@ def _cmd_bounds(args):
         kind = {"power": "power", "exp": "exponential"}.get(name)
     if kind == "power":
         gamma = args.gamma if args.gamma is not None else (
-            float(cfg.schedule["gamma"]) if cfg else None
+            _schedule_param(cfg.schedule, "gamma") if cfg else None
         )
         if gamma is None:
             raise ConfigError("bounds --schedule power needs --gamma")
@@ -292,7 +309,7 @@ def _cmd_bounds(args):
         wrote_any = True
     elif kind == "exponential":
         lam = args.lam if args.lam is not None else (
-            float(cfg.schedule["lambda"]) if cfg else None
+            _schedule_param(cfg.schedule, "lambda") if cfg else None
         )
         if lam is None:
             raise ConfigError("bounds --schedule exponential needs --lambda")
@@ -307,7 +324,7 @@ def _cmd_bounds(args):
         x0 = _x0(cfg)
         diff = x0 - problem.optimum
         d0_sq = float(diff @ diff)
-        k_max = int(cfg.run.get("max_steps", args.k_max))
+        k_max = _run_param(cfg, "max_steps", int, args.k_max)
         ks, bounds = discrete_bound_series(
             sched,
             problem.f.sigma,
@@ -392,7 +409,7 @@ def _cmd_compare(args):
     samples, counter = _rk45_leg(cfg, problem)
     budget = counter.count
     sched = _schedule(cfg)
-    max_steps = int(cfg.run.get("max_steps", max(budget, 1)))
+    max_steps = _run_param(cfg, "max_steps", int, max(budget, 1))
     traj = run_sgm(problem, sched, _x0(cfg), max_steps=max_steps, grad_eval_budget=budget)
     out = _out_dir(args, cfg)
     if args.format == "csv":
@@ -433,7 +450,7 @@ _COMMANDS = {
 
 def cli_main(argv):
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

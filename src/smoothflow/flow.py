@@ -240,8 +240,9 @@ def integrate_rk45(
     is exact, and the error estimate is only squared. Finiteness of the
     stage gradients is tested once per attempt, after its six stages: a
     failing attempt's remaining stages are still evaluated and charged
-    (from non-finite states, where numpy may warn), and the error names
-    the first non-finite stage's time.
+    (from non-finite states, with numpy's overflow and invalid-value
+    warnings silenced for the run), and the error names the first
+    non-finite stage's time.
 
     Returns the list of ``FlowSample`` at t0 and every accepted step.
     ``bound_ct`` costs O(1) per sample for the four built-in designs:
@@ -277,9 +278,6 @@ def integrate_rk45(
     sigma = problem.f.sigma
     beta = problem.beta
     opt = problem.optimum
-    if opt is not None:
-        diff0 = x - opt
-        x0_dist_sq = float(diff0 @ diff0)
 
     def grad_at(t, point):
         mu = float(mu_of_t(t))
@@ -320,52 +318,58 @@ def integrate_rk45(
         weight, integral = _exp_or_inf(sigma * delta), _sigma_integral(sigma, delta)
         chunk.add(point, mu, weight, integral, t, bnd, counter.count)
 
-    # One point per state: the stage gradient and, once the state is
-    # accepted, its sample read the same residuals.
-    point = problem.point(x)
-    chunk = _Chunk(problem, point, sample)
-    sample_at(t0, point)
     accepted = 0
     span = t_end - t0
     h = _INITIAL_STEP_FRACTION * span
     min_step = _MIN_STEP_FRACTION * span
     t = t0
     k_mat = np.empty((7, n))  # +grad F at the stages; row 0 is FSAL's carry
-    k_mat[0] = grad_at(t, point)
     # (c_i, a_i, the rows a_i weighs), built once: views into k_mat.
     stages = [(_DP_C[i], _DP_A[i], k_mat[:i], i) for i in range(1, 7)]
     abs_x = np.abs(x)
-    for _ in range(max_attempts):
-        remaining = t_end - t
-        h_try = min(h, remaining)
-        if h_try < min_step:
-            raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
-        for c, a, k_prev, i in stages:
-            point = problem.point(x - h_try * (a @ k_prev))
-            k_mat[i] = grad_at(t + c * h_try, point)
-        # Without this test a NaN stage only shrinks h until it underflows.
-        if not np.isfinite(k_mat).all():
-            i = int(np.isfinite(k_mat).all(axis=1).argmin())
-            raise NumericalDivergenceError(
-                accepted, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
-            )
-        # The last stage's point is the 5th-order solution; q is the
-        # scaled error estimate up to sign.
-        abs_new = np.abs(point.x)
-        q = h_try * (_DP_ERR @ k_mat)
-        q /= atol + rtol * np.maximum(abs_x, abs_new)
-        err = math.sqrt(np.add.reduce(q * q) / n)
-        if err <= 1.0:
-            # Land exactly on t_end when the step was clipped to it.
-            t = t_end if h_try == remaining else t + h_try
-            x = point.x
-            abs_x = abs_new
-            k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
-            accepted += 1
-            sample_at(t, point)
-            if t >= t_end:
-                chunk.flush()
-                return chunk.records
-        factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** (-0.2)
-        h = h_try * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+    # A non-finite stage (or a start far from x*) overflows quietly and is
+    # reported below, as NumericalDivergenceError, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if opt is not None:
+            diff0 = x - opt
+            x0_dist_sq = float(diff0 @ diff0)
+        # One point per run, moved to each stage: the stage gradient and, once
+        # the state is accepted, its sample read the same residuals.
+        point = problem.point(x)
+        chunk = _Chunk(problem, point, sample)
+        sample_at(t0, point)
+        k_mat[0] = grad_at(t, point)
+        for _ in range(max_attempts):
+            remaining = t_end - t
+            h_try = min(h, remaining)
+            if h_try < min_step:
+                raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
+            for c, a, k_prev, i in stages:
+                point = point.move(x - h_try * (a @ k_prev))
+                k_mat[i] = grad_at(t + c * h_try, point)
+            # Without this test a NaN stage only shrinks h until it underflows.
+            if not np.isfinite(k_mat).all():
+                i = int(np.isfinite(k_mat).all(axis=1).argmin())
+                raise NumericalDivergenceError(
+                    accepted, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
+                )
+            # The last stage's point is the 5th-order solution; q is the
+            # scaled error estimate up to sign.
+            abs_new = np.abs(point.x)
+            q = h_try * (_DP_ERR @ k_mat)
+            q /= atol + rtol * np.maximum(abs_x, abs_new)
+            err = math.sqrt(np.add.reduce(q * q) / n)
+            if err <= 1.0:
+                # Land exactly on t_end when the step was clipped to it.
+                t = t_end if h_try == remaining else t + h_try
+                x = point.x
+                abs_x = abs_new
+                k_mat[0] = k_mat[6]  # FSAL: last stage is the next first stage
+                accepted += 1
+                sample_at(t, point)
+                if t >= t_end:
+                    chunk.flush()
+                    return chunk.records
+            factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** (-0.2)
+            h = h_try * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
     raise StiffnessError(f"no convergence within {max_attempts} attempted steps")

@@ -138,6 +138,19 @@ def generate_problem(cfg):
     )
 
 
+def _schedule_param(params, key):
+    """``params[key]`` of a schedule map as a float; a ``ConfigError`` naming it otherwise."""
+    try:
+        return float(params[key])
+    except KeyError as exc:
+        raise ConfigError(f"schedule {params.get('name')!r} is missing parameter {key!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"schedule {params.get('name')!r} parameter {key!r} must be a number, "
+            f"got {params[key]!r}"
+        ) from exc
+
+
 def schedule_from_config(params, t0=0.0):
     """Build a schedule variant from a name + parameter map.
 
@@ -147,24 +160,26 @@ def schedule_from_config(params, t0=0.0):
     ``params["t0"]`` or the ``t0`` argument.
     """
     params = dict(params)
-    name = params.pop("name", None)
-    t0 = float(params.pop("t0", t0))
-    try:
-        if name == "power":
-            return PowerDecay(mu0=float(params["mu0"]), gamma=float(params["gamma"]), t0=t0)
-        if name == "exp":
-            return ExpDecay(mu0=float(params["mu0"]), lam=float(params["lambda"]), t0=t0)
-        if name == "continuous-linear":
-            design = LinearMu(mu0=float(params["mu0"]), rate=float(params["rate"]), t0=t0)
-            return ContinuousDriven(mu_of_t=design, t0=t0)
-        if name == "continuous-exp":
-            design = ExponentialMu(mu0=float(params["mu0"]), gamma=float(params["gamma"]), t0=t0)
-            return ContinuousDriven(mu_of_t=design, t0=t0)
-        if name == "continuous-reciprocal":
-            design = ReciprocalMu(mu0=float(params["mu0"]), power=float(params["p"]), t0=t0)
-            return ContinuousDriven(mu_of_t=design, t0=t0)
-    except KeyError as exc:
-        raise ConfigError(f"schedule {name!r} is missing parameter {exc}") from exc
+    name = params.get("name")
+
+    def num(key):
+        return _schedule_param(params, key)
+
+    params.setdefault("t0", t0)
+    t0 = num("t0")
+    if name == "power":
+        return PowerDecay(mu0=num("mu0"), gamma=num("gamma"), t0=t0)
+    if name == "exp":
+        return ExpDecay(mu0=num("mu0"), lam=num("lambda"), t0=t0)
+    if name == "continuous-linear":
+        design = LinearMu(mu0=num("mu0"), rate=num("rate"), t0=t0)
+        return ContinuousDriven(mu_of_t=design, t0=t0)
+    if name == "continuous-exp":
+        design = ExponentialMu(mu0=num("mu0"), gamma=num("gamma"), t0=t0)
+        return ContinuousDriven(mu_of_t=design, t0=t0)
+    if name == "continuous-reciprocal":
+        design = ReciprocalMu(mu0=num("mu0"), power=num("p"), t0=t0)
+        return ContinuousDriven(mu_of_t=design, t0=t0)
     raise ConfigError(f"unknown schedule name {name!r}")
 
 

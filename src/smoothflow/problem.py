@@ -275,38 +275,72 @@ class CompositePoint:
     """F at one x: the gradient, F(x, mu) and F(x) from one pass over x.
 
     On a stacked problem (a least-squares f and an ``l1_residual`` h, or
-    no h) the point forms the one residual ``r = M x - e`` when it is
-    built. The gradient is one product ``M^T w``, with
-    ``w = [2 r_A; coeff(r_C, mu)]`` written into one buffer; its last
-    bits depend on how BLAS blocks the rows of ``M``, so they may differ
-    from ``f.grad + h.grad_x``, which sum two products. The values sum
-    the rows of ``r`` with the kernels ``_ValueChunk`` runs on a chunk
-    of points. Any other problem reads its parts' own points: the
-    residuals inside them are formed when the point is built.
+    no h) the point owns the residual ``r = M x - e`` and the gradient's
+    weights ``w``, each allocated once, with views on their f and h
+    rows. ``move(x)`` re-forms ``r`` in place, so a run builds one point
+    and moves it from iterate to iterate. The gradient is one product
+    ``M^T w``, with ``w = [2 r_A; coeff(r_C, mu)]``; its last bits
+    depend on how BLAS blocks the rows of ``M``, so they may differ from
+    ``f.grad + h.grad_x``, which sum two products. The values sum the
+    rows of ``r`` with the kernels ``_ValueChunk`` runs on a chunk of
+    points. Any other problem reads its parts' own points: the residuals
+    inside them are formed when the point is built, and ``move`` builds
+    a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
-    checked once, here or by ``h``'s point, and ``mu`` on every read.
+    checked on every formation, here or by ``h``'s point, and ``mu`` on
+    every read.
     """
 
-    __slots__ = ("x", "_stacked", "_r", "_f", "_h", "_fx")
+    __slots__ = (
+        "x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f", "_h", "_fx"
+    )
 
     def __init__(self, problem, x):
-        x = np.asarray(x, dtype=float)
+        self._problem = problem
         stacked = self._stacked = problem._stacked
-        if (stacked is not None or problem.h is None) and x.shape != (problem.input_dim,):
+        if stacked is not None:
+            r = self._r = np.empty(stacked.e.shape)
+            w = self._w = np.empty_like(r)
+            n_a = stacked.n_a
+            self._r_a, self._r_c = r[:n_a], r[n_a:]
+            self._w_a, self._w_c = w[:n_a], w[n_a:]
+            self.move(x)
+            return
+        x = np.asarray(x, dtype=float)
+        if problem.h is None and x.shape != (problem.input_dim,):
             raise DimensionMismatchError(
                 f"expected input of shape ({problem.input_dim},), got {x.shape}"
             )
-        if stacked is not None:
-            r = stacked.m @ x
-            r -= stacked.e
-            self._r = r
-        else:
-            self._h = None if problem.h is None else problem.h.point(x)
-            self._f = problem.f.point(x)
-            self._fx = None
+        self._h = None if problem.h is None else problem.h.point(x)
+        self._f = problem.f.point(x)
+        self._fx = None
         self.x = x
+
+    def move(self, x):
+        """The point at ``x``: this one, its residual re-formed in place, on a stacked problem.
+
+        Every stacked residual is formed here, a new point's first too.
+        A gradient returned before the move stays the caller's own
+        array; values read after it are at ``x``. Any other problem gets
+        a fresh point, since a ``_ValueChunk`` keeps those.
+        """
+        stacked = self._stacked
+        if stacked is None:
+            return CompositePoint(self._problem, x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != stacked.m.shape[1:]:
+            raise DimensionMismatchError(
+                f"expected input of shape {stacked.m.shape[1:]}, got {x.shape}"
+            )
+        # np.dot with a positional out runs the BLAS gemv of np.matmul,
+        # bit for bit, with less call overhead.
+        r = self._r
+        np.dot(stacked.m, x, r)
+        np.subtract(r, stacked.e, r)
+        self.x = x
+        return self
 
     def _f_value(self):
         if self._fx is None:
@@ -318,13 +352,11 @@ class CompositePoint:
         stacked = self._stacked
         if stacked is not None:
             _check_mu(mu)
-            r = self._r
-            n_a = stacked.n_a
-            w = np.empty_like(r)
-            np.multiply(r[:n_a], 2.0, out=w[:n_a])
+            r_a = self._r_a
+            np.add(r_a, r_a, self._w_a)  # 2 r_A, exactly
             if stacked.huber is not None:
-                _l1_coefficient(stacked.huber, r[n_a:], mu, out=w[n_a:])
-            return stacked.mt @ w
+                _l1_coefficient(stacked.huber, self._r_c, mu, out=self._w_c)
+            return np.dot(stacked.mt, self._w)
         if self._h is None:
             _check_mu(mu)
             return self._f.grad()
@@ -353,11 +385,12 @@ class _ValueChunk:
     """F(x, mu) and F(x) at up to ``cap`` points of one problem, read together.
 
     On a stacked problem ``add`` copies the point's residual row into a
-    buffer allocated once and keeps nothing else of it, and ``values``
-    makes one pass over the rows. Each sum is one ``np.add.reduce``
-    over a row, the kernel the points' own ``smoothed`` and ``exact``
-    run on their one row, so every value equals the single-point one bit
-    for bit. Otherwise the points are kept and read one at a time.
+    buffer allocated once and keeps nothing else of it, so the point may
+    move on, and ``values`` makes one pass over the rows. Each sum is one
+    ``np.add.reduce`` over a row, the kernel the points' own ``smoothed``
+    and ``exact`` run on their one row, so every value equals the
+    single-point one bit for bit. Otherwise the points are kept and read
+    one at a time.
     """
 
     __slots__ = ("_stacked", "_rows", "_points", "_n")

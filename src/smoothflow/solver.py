@@ -294,9 +294,6 @@ def run_sgm(
     if counter is None:
         counter = GradEvalCounter()
     opt = problem.optimum
-    if opt is not None:
-        diff0 = x - opt
-        x0_dist_sq = float(diff0 @ diff0)
 
     def record(entry, f_tilde, f_true, lyap):
         x, mu, _, _, k, st, grad_norm, evals = entry
@@ -305,44 +302,51 @@ def run_sgm(
 
     state = initial_state(sched, lipschitz, alpha)
     status = STATUS_BUDGET
-    # One point per iterate: the charged gradient and, on a recorded
-    # step, the monitors read the same residuals.
-    point = problem.point(x)
-    chunk = _Chunk(problem, point, record)
-    while True:
-        k = state.k
-        stopping = k >= max_steps or (
-            grad_eval_budget is not None and counter.count >= grad_eval_budget
-        )
-        next_state = None
-        if not stopping:
-            # Peek the schedule first: on exhaustion the run ends at the
-            # current iterate and the gradient below is diagnostic only.
-            try:
-                next_state = advance(sched, state, sigma, lipschitz, alpha)
-            except ScheduleExhaustedError:
-                stopping = True
-                status = STATUS_SCHEDULE
-        charged = not stopping
-        g = smoothed_grad(problem, point, state.mu, counter if charged else None)
-        # The Euclidean norm as np.linalg.norm forms it, without its overhead.
-        grad_norm = math.sqrt(g @ g)
-        if not (np.isfinite(x).all() and math.isfinite(grad_norm)):
-            raise NumericalDivergenceError(k)
-        if not stopping and grad_tol is not None and grad_norm <= grad_tol:
-            stopping = True
-            status = STATUS_TOLERANCE
-        if stopping or k % record_stride == 0:
-            # Evaluations spent reaching this iterate; a just-charged
-            # evaluation belongs to the step ahead, not to this record.
-            evals = counter.count - (1 if charged else 0)
-            chunk.add(point, state.mu, state.eta, state.sum_eta_s, k, state, grad_norm, evals)
-        if stopping:
-            break
-        x = x - step_scale * state.s * g
-        state = next_state
+    # A diverging run (or a start far from x*) overflows quietly and is
+    # caught by the finiteness test below, as NumericalDivergenceError,
+    # not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if opt is not None:
+            diff0 = x - opt
+            x0_dist_sq = float(diff0 @ diff0)
+        # One point per run, moved to each iterate: the charged gradient and,
+        # on a recorded step, the monitors read the same residuals.
         point = problem.point(x)
-    chunk.flush()
+        chunk = _Chunk(problem, point, record)
+        while True:
+            k = state.k
+            stopping = k >= max_steps or (
+                grad_eval_budget is not None and counter.count >= grad_eval_budget
+            )
+            next_state = None
+            if not stopping:
+                # Peek the schedule first: on exhaustion the run ends at the
+                # current iterate and the gradient below is diagnostic only.
+                try:
+                    next_state = advance(sched, state, sigma, lipschitz, alpha)
+                except ScheduleExhaustedError:
+                    stopping = True
+                    status = STATUS_SCHEDULE
+            charged = not stopping
+            g = smoothed_grad(problem, point, state.mu, counter if charged else None)
+            # The Euclidean norm as np.linalg.norm forms it, without its overhead.
+            grad_norm = math.sqrt(g @ g)
+            if not (np.isfinite(x).all() and math.isfinite(grad_norm)):
+                raise NumericalDivergenceError(k)
+            if not stopping and grad_tol is not None and grad_norm <= grad_tol:
+                stopping = True
+                status = STATUS_TOLERANCE
+            if stopping or k % record_stride == 0:
+                # Evaluations spent reaching this iterate; a just-charged
+                # evaluation belongs to the step ahead, not to this record.
+                evals = counter.count - (1 if charged else 0)
+                chunk.add(point, state.mu, state.eta, state.sum_eta_s, k, state, grad_norm, evals)
+            if stopping:
+                break
+            x = x - step_scale * state.s * g
+            state = next_state
+            point = point.move(x)
+        chunk.flush()
     return Trajectory(
         records=chunk.records,
         problem_fingerprint=problem.fingerprint,

@@ -575,3 +575,55 @@ def test_config_x0_of_wrong_length_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SIGMA0, run={"max_steps": 40, "x0": [1.0, 2.0]}))
     assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "x0 must have length 8" in capsys.readouterr().err
+
+
+# Each of these used to escape cli_main as a ValueError traceback (exit 1).
+MALFORMED_VALUES = [
+    ("solve-sgm", STRONG, "run", "max_steps", "many"),
+    ("solve-sgm", STRONG, "run", "max_steps", None),
+    ("solve-sgm", STRONG, "run", "record_stride", "x"),
+    ("solve-sgm", STRONG, "run", "x0", ["a", 1]),
+    ("solve-sgm", STRONG, "schedule", "mu0", "x"),
+    ("solve-sgf-euler", CONTINUOUS, "run", "max_steps", "many"),
+    ("solve-sgf-rk45", CONTINUOUS, "run", "rtol", "x"),
+    ("solve-sgf-rk45", CONTINUOUS, "run", "t_end", [1.5]),
+    ("solve-sgf-rk45", CONTINUOUS, "schedule", "t0", "x"),
+    ("compare", CONTINUOUS, "run", "max_steps", "many"),
+    ("bounds", STRONG, "run", "max_steps", "many"),
+    ("bounds", STRONG, "schedule", "gamma", "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,base,section,key,value",
+    MALFORMED_VALUES,
+    ids=[f"{c}:{s}.{k}={v!r}" for c, _, s, k, v in MALFORMED_VALUES],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, command, base, section, key, value):
+    payload = dict(base, **{section: dict(base[section], **{key: value})})
+    cfg = write_config(tmp_path, payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err.splitlines()[0]
+
+
+def test_back_to_back_calls_match_separate_calls(tmp_path, capsys):
+    # The parser is built once per process; a call must not see the
+    # options, defaults or errors of the call before it.
+    def call(args, out):
+        code = run(args + ["--out", str(tmp_path / out)])
+        return code, capsys.readouterr().err
+
+    gamma = ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", "50"]
+    no_gamma = ["bounds", "--schedule", "power", "--k-max", "50"]
+    assert call(gamma, "a") == (0, "")
+    code, err = call(no_gamma, "b")
+    assert code == 2 and err.startswith("error: bounds --schedule power needs --gamma")
+    assert "usage: smoothflow" in err
+    code, err = call(["bounds", "--frob"], "c")
+    assert code == 2 and err.startswith("error: unrecognized arguments: --frob")
+    assert "usage: smoothflow" in err
+    assert call(gamma, "d") == (0, "")
+    first, again = (tmp_path / d / "timeline_bounds.csv" for d in ("a", "d"))
+    assert first.read_bytes() == again.read_bytes()

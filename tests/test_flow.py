@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -253,6 +254,33 @@ class TestRk45IllPosed:
         with pytest.raises(NumericalDivergenceError):
             integrate_rk45(prob, ConstantMu(1.0), np.ones(2), 0.0, 1.0, 1e-6, 1e-9)
 
+    def test_overflow_is_divergence_not_a_warning(self):
+        # A part that under-reports its curvature and pushes x away from
+        # its minimum: the stage states overflow within the first attempt,
+        # which must surface as divergence, not as a numpy RuntimeWarning.
+        lying = SmoothPart(
+            value=lambda x: -1e300 * float(x @ x),
+            grad=lambda x: -2e300 * x,
+            sigma=0.0,
+            lipschitz=1e-3,
+            input_dim=1,
+        )
+        prob = CompositeProblem(f=lying, h=sqrt_l2_approx(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergenceError):
+                integrate_rk45(prob, ConstantMu(1.0), np.ones(1), 0.0, 1.0, 1e-6, 1e-9)
+
+    def test_start_far_from_the_optimum_leaks_no_warning(self, strongly_convex_problem):
+        # ||x0 - x*||^2 and the squared residuals overflow; the run reads inf.
+        x0 = np.full(strongly_convex_problem.input_dim, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = integrate_rk45(
+                strongly_convex_problem, ConstantMu(1.0), x0, 0.0, 0.01, 1e-6, 1e-9
+            )
+        assert samples[0].f_true == math.inf
+
     # (threshold, bad value, sample index, message), pinned: the first
     # non-finite stage of the failing attempt is stage 1, 2, 3, 4 or 5,
     # or the initial evaluation at t0, and the message names its time.
@@ -266,8 +294,7 @@ class TestRk45IllPosed:
     ]
 
     # The failing attempt's remaining stages run from non-finite states,
-    # where numpy may warn about inf - inf.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # where inf - inf must not leak a numpy warning.
     @pytest.mark.parametrize("threshold,bad,step,message", DIVERGENCES)
     def test_divergence_names_first_non_finite_stage(self, threshold, bad, step, message):
         # x' = -x whose gradient turns non-finite once x[0] drops below

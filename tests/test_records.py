@@ -1,5 +1,6 @@
 """Run records, flow samples and schedule states: immutable named tuples
-that keep the run's own iterate arrays, and one point per RK45 evaluation."""
+that keep the run's own iterate arrays, and one residual formation per RK45
+evaluation."""
 
 import math
 
@@ -109,23 +110,19 @@ def test_rk45_samples_keep_distinct_states(strongly_convex_problem, zero_x0):
 
 
 @pytest.mark.parametrize("with_optimum", [True, False], ids=["optimum", "no-optimum"])
-def test_rk45_builds_one_point_per_evaluation(strongly_convex_problem, zero_x0, monkeypatch, with_optimum):
-    # The stages' points serve the accepted samples too, so the points
-    # built are the right-hand-side evaluations plus the one at x*.
+def test_rk45_builds_one_point_per_evaluation(
+    strongly_convex_problem, zero_x0, residual_formations, with_optimum
+):
+    # The run's one point is moved to every stage and serves the accepted
+    # samples too, so the stacked residual is formed once per right-hand
+    # side evaluation, plus once at x*.
     problem = strongly_convex_problem
     if not with_optimum:
         problem = CompositeProblem(f=problem.f, h=problem.h)
-    built = []
-    original = CompositeProblem.point
-
-    def counting_point(self, x):
-        built.append(1)
-        return original(self, x)
-
-    monkeypatch.setattr(CompositeProblem, "point", counting_point)
     counter = GradEvalCounter()
     samples = integrate_rk45(
         problem, ReciprocalMu(1.0, 1.0), zero_x0, 0.0, 0.5, 1e-6, 1e-9, counter=counter
     )
     assert len(samples) > 2
-    assert len(built) == counter.count + (1 if with_optimum else 0)
+    assert samples[-1].grad_evals == counter.count
+    assert len(residual_formations) == counter.count + (1 if with_optimum else 0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -146,8 +147,20 @@ class TestRunSgm:
             input_dim=1,
         )
         prob = CompositeProblem(f=lying, h=sqrt_l2_approx(1))
-        with pytest.raises(NumericalDivergenceError):
-            run_sgm(prob, PowerDecay(mu0=1.0, gamma=0.5), np.ones(1), 5000)
+        # The blow-up overflows; it must surface as divergence, not as a
+        # numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergenceError):
+                run_sgm(prob, PowerDecay(mu0=1.0, gamma=0.5), np.ones(1), 5000)
+
+    def test_start_far_from_the_optimum_is_divergence_not_a_warning(self, strongly_convex_problem):
+        # ||x0 - x*||^2 and the first gradient's norm overflow.
+        x0 = np.full(strongly_convex_problem.input_dim, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDivergenceError):
+                run_sgm(strongly_convex_problem, PowerDecay(mu0=1.0, gamma=0.5), x0, 5)
 
     def test_step_scale_validated(self, strongly_convex_problem, zero_x0):
         with pytest.raises(InvalidParameterError):
@@ -477,20 +490,12 @@ def test_record_stride_must_be_positive(strongly_convex_problem, zero_x0, stride
 
 
 @pytest.mark.parametrize("stride", [1, 4, 100])
-def test_one_residual_pass_per_iterate(strongly_convex_problem, zero_x0, monkeypatch, stride):
-    # Count the problem's points: each forms the stacked residual
-    # [A; C] x - [b; d] once. A recorded step reads its gradient and its
-    # monitors from the same point, and an unrecorded step builds no more
-    # than a recorded one, so the count is one per iterate plus one at x*
-    # for the run.
-    built = []
-    original = CompositeProblem.point
-
-    def counting_point(self, x):
-        built.append(1)
-        return original(self, x)
-
-    monkeypatch.setattr(CompositeProblem, "point", counting_point)
+def test_one_residual_pass_per_iterate(strongly_convex_problem, zero_x0, residual_formations, stride):
+    # Count formations of the stacked residual [A; C] x - [b; d]: the
+    # run's one point is moved to each iterate. A recorded step reads its
+    # gradient and its monitors from the same formation, and an
+    # unrecorded step forms no more than a recorded one, so the count is
+    # one per iterate plus one at x* for the run.
     steps = 12
     traj = run_sgm(
         strongly_convex_problem,
@@ -500,4 +505,4 @@ def test_one_residual_pass_per_iterate(strongly_convex_problem, zero_x0, monkeyp
         record_stride=stride,
     )
     assert traj.final.k == steps
-    assert len(built) == (steps + 1) + 1
+    assert len(residual_formations) == (steps + 1) + 1

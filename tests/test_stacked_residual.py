@@ -4,15 +4,17 @@ When f is ``quadratic_least_squares(A, b)`` and h is ``l1_residual(C,
 d, .)`` (or None), a point forms ``r = [A; C] x - [b; d]`` once and the
 gradient is the one product ``[A; C]^T [2 r_A; coeff(r_C, mu)]``. These
 tests pin the Huber coefficient's clip form, bound the gradient's
-distance from the parts' own gradients, and check that the generated
-problems keep an exact optimum.
+distance from the parts' own gradients, check that the generated
+problems keep an exact optimum, and check that moving a point re-forms
+its residual in place without touching what it returned before.
 """
 
 import numpy as np
 import pytest
 
-from smoothflow import CompositeProblem, l1_residual, quadratic_least_squares
+from smoothflow import CompositeProblem, l1_residual, quadratic_least_squares, sqrt_l2_approx
 from smoothflow.approx import L1_SMOOTHERS, _l1_coefficient
+from smoothflow.errors import DimensionMismatchError
 from smoothflow.harness import ExperimentConfig, generate_problem
 
 # Unit roundoff of a double.
@@ -82,3 +84,40 @@ def test_generated_optimum_is_exact(shape, smoothing):
     assert p.true_value(p.optimum) == 0.0
     assert p.point(p.optimum).smoothed(0.25) == 0.0
     assert not np.any(p.point(p.optimum).grad(0.25))
+
+
+@pytest.mark.parametrize("smoothing", [None] + sorted(L1_SMOOTHERS))
+def test_moved_point_leaves_earlier_gradients_alone(smoothing):
+    # A run moves one point from iterate to iterate; the gradient a
+    # caller holds from before a move is its own array.
+    p, a, *_ = problem(9, smoothing)
+    rng = np.random.default_rng(11)
+    x0, x1 = rng.standard_normal((2, a.shape[1]))
+    point = p.point(x0)
+    g0 = point.grad(0.4)
+    kept = g0.copy()
+    moved = point.move(x1)
+    assert moved is point and moved.x is x1
+    g1 = moved.grad(0.4)
+    assert np.array_equal(g0, kept)
+    fresh = p.point(x1)
+    assert np.array_equal(g1, fresh.grad(0.4))
+    assert moved.smoothed(0.4) == fresh.smoothed(0.4)
+    assert moved.exact() == fresh.exact()
+
+
+def test_moving_a_point_without_a_stack_builds_a_fresh_one():
+    # A _ValueChunk keeps such points, so a move must not change one.
+    p = CompositeProblem(f=quadratic_least_squares(np.eye(3), np.ones(3)), h=sqrt_l2_approx(3))
+    point = p.point(np.zeros(3))
+    moved = point.move(np.ones(3))
+    assert moved is not point
+    assert point.exact() == p.true_value(np.zeros(3))
+    assert moved.exact() == p.true_value(np.ones(3))
+
+
+def test_move_checks_the_shape():
+    p, *_ = problem(8, "huber_l2")
+    point = p.point(np.zeros(6))
+    with pytest.raises(DimensionMismatchError):
+        point.move(np.zeros(5))
