@@ -558,6 +558,14 @@ GOLDEN_PATHS = {
         "compare.csv",
         "f91ef7efe4966aa85b33ee5ccb90e31df9c01a0b2f1359d5467493d719c67b71",
     ),
+    # 2,627 of the 3,001 records have inv_eta == 0: eta and sum eta s read
+    # inf there, and the bound its scaled form.
+    "solve-sgm-overflowing": (
+        OVERFLOWING,
+        ["solve-sgm"],
+        "trajectory.csv",
+        "c595879904a84d893f95eb88e11981954b3b50c90fabc2d5001d94aea109ab9f",
+    ),
 }
 
 
