@@ -18,6 +18,7 @@ divergence, 4 schedule exhaustion under ``--strict``.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -334,29 +335,30 @@ def _cmd_bounds(args):
             d0_sq,
             k_max,
         )
-        rows = []
-        is_power_sigma0 = (
-            problem.f.sigma == 0.0 and cfg.schedule.get("name") == "power"
+        ks_list = ks.tolist()
+        columns, row, fields = ["k", "bound"], "%d,%.17g", [ks_list, bounds.tolist()]
+        params = cfg.schedule
+        if (
+            ks_list
+            and problem.f.sigma == 0.0
+            and params.get("name") == "power"
+            and 0.0 < float(params["gamma"]) <= 1.0
+        ):
+            columns.append("closed_form_bound")
+            row += ",%.17g"
+            closed = functools.partial(
+                closed_form_bound_nonstrongly,
+                problem.f.lipschitz,
+                problem.alpha,
+                problem.beta,
+                float(params["mu0"]),
+                float(params["gamma"]),
+                d0_sq,
+            )
+            fields.append([closed(k) for k in ks_list])
+        _write(
+            os.path.join(out, "discrete_bounds.csv"), series_csv(columns, zip(*fields), row)
         )
-        for k, b in zip(ks, bounds):
-            row = [int(k), b]
-            if is_power_sigma0 and 0.0 < float(cfg.schedule["gamma"]) <= 1.0:
-                row.append(
-                    closed_form_bound_nonstrongly(
-                        problem.f.lipschitz,
-                        problem.alpha,
-                        problem.beta,
-                        float(cfg.schedule["mu0"]),
-                        float(cfg.schedule["gamma"]),
-                        d0_sq,
-                        int(k),
-                    )
-                )
-            rows.append(row)
-        columns = ["k", "bound"] + (
-            ["closed_form_bound"] if rows and len(rows[0]) == 3 else []
-        )
-        _write(os.path.join(out, "discrete_bounds.csv"), series_csv(columns, rows))
         wrote_any = True
         code = _exhausted_code(args, ks, k_max)
     if not wrote_any:
@@ -413,14 +415,15 @@ def _cmd_compare(args):
     traj = run_sgm(problem, sched, _x0(cfg), max_steps=max_steps, grad_eval_budget=budget)
     out = _out_dir(args, cfg)
     if args.format == "csv":
-        rows = [
-            ["SGM", r.t, r.mu, r.f_true, r.grad_evals] for r in traj.records
-        ] + [
-            ["SGF-RK45", s.t, s.mu, s.f_true, s.grad_evals] for s in samples
-        ]
+        rows = itertools.chain(
+            (("SGM", r.t, r.mu, r.f_true, r.grad_evals) for r in traj.records),
+            (("SGF-RK45", s.t, s.mu, s.f_true, s.grad_evals) for s in samples),
+        )
         _write(
             os.path.join(out, "compare.csv"),
-            series_csv(["series", "t", "mu", "f_true", "grad_evals"], rows),
+            series_csv(
+                ["series", "t", "mu", "f_true", "grad_evals"], rows, "%s,%.17g,%.17g,%.17g,%d"
+            ),
         )
     else:
         envelope = json_envelope(

@@ -307,16 +307,20 @@ def integrate_rk45(
         t_last, mu_last = t, mu_hi
         return bnd
 
-    def sample(entry, f_tilde, f_true, lyap):
-        x, mu, _, _, t, bnd, evals = entry
-        return FlowSample(t, x, mu, f_true, lyap, bnd, evals)
+    def columns(pending):
+        xs, t, mu, weight, integral, bnd, evals = zip(*pending)
+
+        def build(f_tilde, f_true, lyap):
+            return map(FlowSample, t, xs, mu, f_true, lyap, bnd, evals)
+
+        return np.array(mu), np.array(weight), np.array(integral), build
 
     def sample_at(t, point):
         mu = float(mu_of_t(t))
         bnd = math.nan if opt is None else bound_at(t, mu)
         delta = t - t0
         weight, integral = _exp_or_inf(sigma * delta), _sigma_integral(sigma, delta)
-        chunk.add(point, mu, weight, integral, t, bnd, counter.count)
+        chunk.add(point, t, mu, weight, integral, bnd, counter.count)
 
     accepted = 0
     span = t_end - t0
@@ -336,7 +340,7 @@ def integrate_rk45(
         # One point per run, moved to each stage: the stage gradient and, once
         # the state is accepted, its sample read the same residuals.
         point = problem.point(x)
-        chunk = _Chunk(problem, point, sample)
+        chunk = _Chunk(problem, point, columns)
         sample_at(t0, point)
         k_mat[0] = grad_at(t, point)
         for _ in range(max_attempts):

@@ -250,13 +250,19 @@ def timeline_csv(table):
     return "\n".join(lines)
 
 
-def series_csv(columns, rows):
+def series_csv(columns, rows, row_format=None):
     """Generic CSV with a fixed column list; floats at full precision.
 
-    Each field prints by its type (see ``_conversion``); a row format is
-    built once per distinct tuple of field types.
+    With ``row_format``, one printf format for every row, each row is
+    one % operation, as in ``trajectory_csv``. Otherwise each field
+    prints by its type (see ``_conversion``); a row format is built
+    once per distinct tuple of field types.
     """
     lines = [",".join(columns)]
+    if row_format is not None:
+        lines.extend(row_format % row for row in rows)
+        lines.append("")
+        return "\n".join(lines)
     formats = {}
     for row in rows:
         types = tuple(map(type, row))

@@ -413,6 +413,21 @@ class _ValueChunk:
             self._rows[self._n] = point._r
         self._n += 1
 
+    def mu_free_value(self):
+        """F(x, mu) of the first added point as a float when it is F(x) at every mu, else None.
+
+        That holds on a stacked problem whose h rows are exactly 0 at the
+        point, as at x* of every generated problem: each row's surrogate
+        reads exactly 0 there, hypot(0, mu) - mu or 0 * 0 / (2 mu), at
+        every finite mu > 0, so F(x, mu) = f(x) + 0 = F(x) bit for bit.
+        """
+        if self._rows is None:
+            return None
+        row = self._rows[0]
+        if row[self._stacked.n_a :].any():
+            return None
+        return float(self._stacked.exact(row))
+
     def values(self, mu):
         """F(x, mu) and F(x) at the added points, as arrays.
 
@@ -462,14 +477,3 @@ def lipschitz_at(problem, mu):
     _check_mu(mu)
     return problem.f.lipschitz + problem.alpha / mu
 
-
-def finite_difference_grad(fn, x, step=3e-7):
-    """Central-difference gradient of a scalar function, for validation."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for j in range(x.size):
-        h = step * (1.0 + abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g

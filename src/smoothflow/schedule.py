@@ -313,20 +313,27 @@ class ScheduleState(NamedTuple):
     scaled_sum_eta_mu_s: float
     inv_eta: float
 
-    def _times_eta(self, scaled):
-        return scaled / self.inv_eta if self.inv_eta > 0.0 else math.inf
-
     @property
     def eta(self):
-        return self._times_eta(1.0)
+        return float(_times_eta(1.0, self.inv_eta))
 
     @property
     def sum_eta_s(self):
-        return self._times_eta(self.scaled_sum_eta_s)
+        return float(_times_eta(self.scaled_sum_eta_s, self.inv_eta))
 
     @property
     def sum_eta_mu_s(self):
-        return self._times_eta(self.scaled_sum_eta_mu_s)
+        return float(_times_eta(self.scaled_sum_eta_mu_s, self.inv_eta))
+
+
+def _times_eta(scaled, inv_eta):
+    """A scaled value times eta_k: ``scaled / inv_eta``, inf where D_k = ``inv_eta`` is 0.
+
+    The operands are floats or arrays, one entry per state; an entry
+    of an array reads the same bits as that state's property.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(inv_eta > 0.0, np.divide(scaled, inv_eta), math.inf)
 
 
 def initial_state(sched, lipschitz, alpha):

@@ -20,7 +20,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, _ValueChunk, smoothed_grad, smoothed_value
-from .schedule import advance, initial_state
+from .schedule import _times_eta, advance, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
@@ -36,9 +36,10 @@ class IterationRecord(NamedTuple):
     final record comes from an uncharged diagnostic evaluation.
     ``bound`` is defined for k >= 1 and NaN otherwise; ``lyapunov`` and
     ``bound`` are NaN when the problem's optimum is unknown. Every value
-    field is a Python ``float``; ``f_tilde``, ``f_true`` and ``lyapunov``
-    equal ``smoothed_value``, ``CompositeProblem.true_value`` and
-    ``lyapunov_discrete`` at the record's state bit for bit.
+    field is a Python ``float``; ``f_tilde``, ``f_true``, ``lyapunov``
+    and ``bound`` equal ``smoothed_value``,
+    ``CompositeProblem.true_value``, ``lyapunov_discrete`` and
+    ``bound_discrete`` at the record's state bit for bit.
     """
 
     k: int
@@ -121,32 +122,37 @@ _CHUNK_FLOATS = 1 << 14
 class _Chunk:
     """Recorded points of one run, evaluated a bounded chunk at a time.
 
-    ``add(point, mu, weight, integral, *fields)`` stacks one recorded
-    point's x and residual rows into buffers allocated once per run and
-    queues ``(point.x, mu, weight, integral, *fields)``; the weight and
-    integral are the certificate's (unused when the optimum is unknown).
-    ``flush`` reads F(x, mu) and F(x) of the stacked points in one pass
-    (``_ValueChunk``), F(x*, mu) in one more, x*'s rows broadcast
-    against the chunk's mu, and the Lyapunov values in one ``_lyapunov``
-    call; it then appends ``build(entry, f_tilde, f_true, lyapunov)`` to
-    ``records`` for each queued entry in order. Each value equals its
-    single-point function's bit for bit. A run flushes once more at its
-    end.
+    ``add(point, *entry)`` stacks one recorded point's x and residual
+    rows into buffers allocated once per run and queues
+    ``(point.x, *entry)``. ``flush`` hands the queued entries to
+    ``columns``, which returns the chunk's mu, the certificate's weight
+    and integral (unused when the optimum is unknown), each an array
+    with one entry per record, and ``build(f_tilde, f_true, lyapunov)``,
+    which makes the chunk's records in order from lists of those
+    values. ``flush`` reads F(x, mu) and F(x) of the stacked points in
+    one pass (``_ValueChunk``) and the Lyapunov values in one
+    ``_lyapunov`` call. F(x*, mu) is read once per run when it is F(x*)
+    at every mu (``_ValueChunk.mu_free_value``), and otherwise in one
+    more pass per chunk, x*'s rows broadcast against the chunk's mu.
+    Each value equals its single-point function's bit for bit. A run
+    flushes once more at its end.
     """
 
     __slots__ = (
-        "records", "_build", "_beta", "_opt", "_opt_values", "_values", "_x", "_pending", "_cap"
+        "records", "_columns", "_beta", "_opt", "_opt_values", "_opt_value", "_values", "_x",
+        "_pending", "_cap",
     )
 
-    def __init__(self, problem, first_point, build):
+    def __init__(self, problem, first_point, columns):
         self.records = []
-        self._build = build
+        self._columns = columns
         self._beta = problem.beta
         self._opt = problem.optimum
         if self._opt is not None:
             opt = problem.point(self._opt)
             self._opt_values = _ValueChunk(opt, 1)
             self._opt_values.add(opt)
+            self._opt_value = self._opt_values.mu_free_value()
         n = first_point.x.size
         self._cap = max(1, _CHUNK_FLOATS // (n + _ValueChunk.row_floats(first_point)))
         self._values = _ValueChunk(first_point, self._cap)
@@ -157,7 +163,7 @@ class _Chunk:
         pending = self._pending
         self._x[len(pending)] = point.x
         self._values.add(point)
-        pending.append((point.x,) + entry)
+        pending.append((point.x, *entry))
         if len(pending) == self._cap:
             self.flush()
 
@@ -165,28 +171,26 @@ class _Chunk:
         pending = self._pending
         if not pending:
             return
-        _, mu, weight, integral, *_ = zip(*pending)
-        mu = np.array(mu)
+        n = len(pending)
+        mu, weight, integral, build = self._columns(pending)
         f_tilde, f_true = self._values.values(mu)
         if self._opt is None:
-            lyap = [math.nan] * len(pending)
+            lyap = [math.nan] * n
         else:
+            f_tilde_opt = self._opt_value
+            if f_tilde_opt is None:
+                f_tilde_opt = self._opt_values.values(mu)[0]
             lyap = _lyapunov(
-                self._x[: len(pending)],
-                self._opt,
-                np.array(weight),
-                np.array(integral),
-                f_tilde,
-                self._beta,
-                mu,
-                self._opt_values.values(mu)[0],
+                self._x[:n], self._opt, weight, integral, f_tilde, self._beta, mu, f_tilde_opt
             ).tolist()
-        build = self._build
-        self.records.extend(
-            build(*row) for row in zip(pending, f_tilde.tolist(), f_true.tolist(), lyap)
-        )
+        self.records.extend(build(f_tilde.tolist(), f_true.tolist(), lyap))
         self._values.clear()
         self._pending = []
+
+
+def _gap_bound(x0_dist_sq, beta, inv_eta, scaled_sum_eta_mu_s, scaled_sum_eta_s):
+    """(x0_dist_sq/2 * D_k + beta * M_k) / N_k, of floats or of arrays, one entry per state."""
+    return (0.5 * x0_dist_sq * inv_eta + beta * scaled_sum_eta_mu_s) / scaled_sum_eta_s
 
 
 def bound_discrete(state, x0_dist_sq, beta):
@@ -204,9 +208,9 @@ def bound_discrete(state, x0_dist_sq, beta):
     """
     if state.k < 1:
         raise UndefinedBoundError("the discrete bound is defined for k >= 1")
-    return (
-        0.5 * x0_dist_sq * state.inv_eta + beta * state.scaled_sum_eta_mu_s
-    ) / state.scaled_sum_eta_s
+    return _gap_bound(
+        x0_dist_sq, beta, state.inv_eta, state.scaled_sum_eta_mu_s, state.scaled_sum_eta_s
+    )
 
 
 def closed_form_bound_nonstrongly(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq, k):
@@ -268,13 +272,15 @@ def run_sgm(
     Returns a ``Trajectory``; schedule exhaustion ends the run with
     status ``schedule-exhausted`` rather than raising.
 
-    The monitors of the recorded iterates (F(x, mu), F(x), F(x*, mu)
-    and the Lyapunov value) are evaluated a chunk of records at a time,
-    once the chunk's x and residual rows reach ``_CHUNK_FLOATS`` and at
-    the end of the run, from the residuals each iterate formed for its
-    gradient; each sum is one ``np.add.reduce`` over a row, the kernel
-    of the single-point functions. The bound, the divergence check and
-    the gradient-tolerance test stay per step.
+    A recorded step queues its point's x and residual rows, its
+    ``ScheduleState``, gradient norm and evaluation count. The monitors
+    (F(x, mu), F(x), F(x*, mu), eta, sum eta s, the Lyapunov value and
+    the bound) are evaluated a chunk of records at a time, once the
+    chunk's x and residual rows reach ``_CHUNK_FLOATS`` and at the end
+    of the run, from the residuals each iterate formed for its
+    gradient; each is the kernel of its single-point function applied
+    to the chunk's arrays, so it reads the same bits. The divergence
+    check and the gradient-tolerance test stay per step.
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
@@ -295,10 +301,25 @@ def run_sgm(
         counter = GradEvalCounter()
     opt = problem.optimum
 
-    def record(entry, f_tilde, f_true, lyap):
-        x, mu, _, _, k, st, grad_norm, evals = entry
-        bnd = bound_discrete(st, x0_dist_sq, beta) if opt is not None and k >= 1 else math.nan
-        return IterationRecord(k, st.t, st.s, mu, x, f_tilde, f_true, grad_norm, lyap, bnd, evals)
+    def columns(pending):
+        xs, states, grad_norms, evals = zip(*pending)
+        k, t, mu, s, _, scaled_s, scaled_mu_s, inv_eta = zip(*states)
+        scaled_s, inv_eta = np.array(scaled_s), np.array(inv_eta)
+        if opt is None:
+            bound = [math.nan] * len(k)
+        else:
+            # The bound is undefined at k = 0, where N_0 = 0.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = _gap_bound(x0_dist_sq, beta, inv_eta, np.array(scaled_mu_s), scaled_s)
+            bound = np.where(np.array(k) > 0, bound, math.nan).tolist()
+
+        def build(f_tilde, f_true, lyap):
+            return map(
+                IterationRecord, k, t, s, mu, xs, f_tilde, f_true, grad_norms, lyap, bound, evals
+            )
+
+        eta, sum_eta_s = _times_eta(1.0, inv_eta), _times_eta(scaled_s, inv_eta)
+        return np.array(mu), eta, sum_eta_s, build
 
     state = initial_state(sched, lipschitz, alpha)
     status = STATUS_BUDGET
@@ -312,7 +333,8 @@ def run_sgm(
         # One point per run, moved to each iterate: the charged gradient and,
         # on a recorded step, the monitors read the same residuals.
         point = problem.point(x)
-        chunk = _Chunk(problem, point, record)
+        chunk = _Chunk(problem, point, columns)
+        zeros = np.zeros_like(x)
         while True:
             k = state.k
             stopping = k >= max_steps or (
@@ -331,7 +353,8 @@ def run_sgm(
             g = smoothed_grad(problem, point, state.mu, counter if charged else None)
             # The Euclidean norm as np.linalg.norm forms it, without its overhead.
             grad_norm = math.sqrt(g @ g)
-            if not (np.isfinite(x).all() and math.isfinite(grad_norm)):
+            # x.dot(zeros) is NaN exactly when an entry of x is inf or NaN.
+            if not math.isfinite(grad_norm + x.dot(zeros)):
                 raise NumericalDivergenceError(k)
             if not stopping and grad_tol is not None and grad_norm <= grad_tol:
                 stopping = True
@@ -340,7 +363,7 @@ def run_sgm(
                 # Evaluations spent reaching this iterate; a just-charged
                 # evaluation belongs to the step ahead, not to this record.
                 evals = counter.count - (1 if charged else 0)
-                chunk.add(point, state.mu, state.eta, state.sum_eta_s, k, state, grad_norm, evals)
+                chunk.add(point, state, grad_norm, evals)
             if stopping:
                 break
             x = x - step_scale * state.s * g

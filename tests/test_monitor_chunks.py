@@ -19,6 +19,7 @@ from smoothflow import (
     ReciprocalMu,
     SmoothPart,
     advance,
+    bound_discrete,
     initial_state,
     integrate_rk45,
     l1_residual,
@@ -156,6 +157,66 @@ def test_chunk_values_reject_a_non_positive_mu(name, copies, mu):
         chunk.add(point)
     with pytest.raises(InvalidParameterError, match="mu must be > 0"):
         chunk.values(np.array(mu))
+
+
+def offset_problem(smoothing):
+    """Least squares with l1_residual, random b and d: x*'s h residual is not 0.
+
+    The optimum is a stand-in, not the minimiser; the certificates are
+    formulas in it all the same, and F(x*, mu) then depends on mu.
+    """
+    rng = np.random.default_rng(4)
+    a, c = rng.standard_normal((8, 4)), rng.standard_normal((ROWS, 4))
+    f = quadratic_least_squares(a, rng.standard_normal(8))
+    h = l1_residual(c, rng.standard_normal(ROWS), smoothing)
+    return CompositeProblem(f=f, h=h, optimum=rng.standard_normal(4))
+
+
+def mu_free_value(problem):
+    from smoothflow.problem import _ValueChunk
+
+    point = problem.point(problem.optimum)
+    chunk = _ValueChunk(point, 1)
+    chunk.add(point)
+    return chunk.mu_free_value()
+
+
+@pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
+def test_generated_optimum_is_read_once(smoothing):
+    # Every generated problem plants x* with a zero residual, so F(x*, mu)
+    # is F(x*) at every mu and no chunk re-reads it.
+    problem = l1_problem(smoothing)
+    assert mu_free_value(problem) == problem.true_value(problem.optimum)
+
+
+@pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
+def test_records_read_f_opt_per_chunk_at_an_offset_optimum(smoothing):
+    problem = offset_problem(smoothing)
+    assert mu_free_value(problem) is None
+    sched = PowerDecay(mu0=1.0, gamma=0.5)
+    x0 = np.full(problem.input_dim, 3.0)
+    diff = x0 - problem.optimum
+    traj = run_sgm(problem, sched, x0, max_steps=100)
+    assert len(traj.records) > 2 * chunk_records(problem)
+    state = initial_state(sched, problem.f.lipschitz, problem.alpha)
+    assert math.isnan(traj.records[0].bound)
+    for r in traj.records:
+        assert r.k == state.k
+        assert r.lyapunov == lyapunov_discrete(problem, state, r.x)
+        if r.k >= 1:
+            assert r.bound == bound_discrete(state, float(diff @ diff), problem.beta)
+        state = advance(sched, state, problem.f.sigma, problem.f.lipschitz, problem.alpha)
+
+
+@pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
+def test_samples_read_f_opt_per_chunk_at_an_offset_optimum(smoothing):
+    problem = offset_problem(smoothing)
+    design = ReciprocalMu(1.0, 1.0, t0=1.0)
+    samples = integrate_rk45(problem, design, np.full(4, 3.0), 1.0, 1.5, 1e-6, 1e-8)
+    assert len(samples) > 2 * chunk_records(problem)
+    sigma, beta = problem.f.sigma, problem.beta
+    for s in samples:
+        assert s.lyapunov_v == lyapunov_continuous(problem, s.x, s.t, 1.0, sigma, beta, design)
 
 
 def monitor_overhead(problem, steps):

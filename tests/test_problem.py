@@ -14,12 +14,12 @@ from smoothflow import (
     smoothed_value,
     sqrt_l2_approx,
 )
+from smoothflow.approx import _fd_grad
 from smoothflow.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     UnsupportedOperationError,
 )
-from smoothflow.problem import finite_difference_grad
 
 
 class TestQuadraticLeastSquares:
@@ -50,7 +50,7 @@ class TestQuadraticLeastSquares:
         f = quadratic_least_squares(a, b)
         for _ in range(20):
             x = rng.normals(3)
-            fd = finite_difference_grad(f.value, x)
+            fd = _fd_grad(f.value, x)
             rel = np.linalg.norm(f.grad(x) - fd) / (1.0 + np.linalg.norm(fd))
             assert rel <= 1e-6
 
@@ -143,7 +143,7 @@ class TestSmoothedObjective:
             x = rng.normals(2)
             mu = 0.05 + 2.0 * rng.uniform()
             g = smoothed_grad(self.p, x, mu)
-            fd = finite_difference_grad(lambda y: smoothed_value(self.p, y, mu), x)
+            fd = _fd_grad(lambda y: smoothed_value(self.p, y, mu), x)
             rel = np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd))
             assert rel <= 1e-6
 

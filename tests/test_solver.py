@@ -162,6 +162,26 @@ class TestRunSgm:
             with pytest.raises(NumericalDivergenceError):
                 run_sgm(strongly_convex_problem, PowerDecay(mu0=1.0, gamma=0.5), x0, 5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_x0_entry_is_divergence_at_step_0(self, strongly_convex_problem, bad):
+        # A linear f has a finite gradient at every x, so there only the
+        # test on x itself sees the bad entry.
+        linear = SmoothPart(
+            value=lambda x: float(x.sum()),
+            grad=lambda x: np.ones(3),
+            sigma=0.0,
+            lipschitz=1.0,
+            input_dim=3,
+        )
+        for prob in (CompositeProblem(f=linear), strongly_convex_problem):
+            x0 = np.ones(prob.input_dim)
+            x0[1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalDivergenceError) as err:
+                    run_sgm(prob, PowerDecay(mu0=1.0, gamma=0.5), x0, 10)
+            assert err.value.step == 0
+
     def test_step_scale_validated(self, strongly_convex_problem, zero_x0):
         with pytest.raises(InvalidParameterError):
             run_sgm(
