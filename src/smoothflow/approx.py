@@ -10,6 +10,7 @@ inequalities are what every convergence bound downstream consumes, and
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,13 @@ class SmoothingParams:
             raise InvalidParameterError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise InvalidParameterError(f"beta must be finite and > 0, got {self.beta}")
+
+
+def _check_mu(mu):
+    """``mu`` as a float, once it is checked to be > 0 (NaN is not)."""
+    if not (mu > 0.0):
+        raise InvalidParameterError(f"mu must be > 0, got {mu}")
+    return float(mu)
 
 
 class SmoothApprox:
@@ -84,12 +92,6 @@ class SmoothApprox:
             )
         return x
 
-    @staticmethod
-    def _check_mu(mu):
-        if not (mu > 0.0):
-            raise InvalidParameterError(f"mu must be > 0, got {mu}")
-        return float(mu)
-
 
 class _ApproxPoint:
     """A ``SmoothApprox`` at one x through its ``value``/``grad_x`` methods."""
@@ -115,142 +117,240 @@ def _norm(x):
     return math.sqrt(x @ x)
 
 
+def _sum_of_squares(r):
+    """||r||^2 per row of ``r``: a least-squares value, and the l2 norm squared."""
+    return np.add.reduce(r * r, axis=-1)
+
+
+class _Kernel(NamedTuple):
+    """A built-in surrogate as five functions over the last axis of residual rows.
+
+    ``r`` is one row or a chunk of rows, ``mu`` a scalar or a column (one
+    entry per row, or one row read at every mu). ``smoothed``, ``exact``,
+    ``grad_mu`` and ``gap`` give one value per row: the surrogate, the
+    exact function, its mu-derivative, and the distance to the nearest
+    non-smooth branch (+inf if none). ``coeff(r, mu, out=None)`` is the
+    derivative in each entry of ``r``, so the gradient is ``C^T coeff``.
+    Each sum over a row is one ``np.add.reduce`` over the last axis, so
+    a row of a chunk reads the same bits as that row alone.
+    """
+
+    smoothed: Callable
+    exact: Callable
+    coeff: Callable
+    grad_mu: Callable
+    gap: Callable
+
+
+def _smooth_everywhere(r, mu):
+    return np.full(np.shape(r)[:-1], math.inf)
+
+
+def _sqrt_coeff(r, mu, out=None):
+    coeff = np.hypot(r, mu, out=out)
+    return np.divide(r, coeff, out=coeff)
+
+
+def _huber_coeff(r, mu, out=None):
+    # clip(r/mu, -1, 1) is bit for bit where(|r| <= mu, r/mu, sign(r)):
+    # division rounds monotonically and gives exactly +-1 at |r| = mu,
+    # so r/mu lies beyond +-1 exactly where |r| > mu, and +-0, +-inf and
+    # NaN map alike.
+    coeff = np.divide(r, mu, out=out)
+    return coeff.clip(-1.0, 1.0, out=coeff)
+
+
+def _huber_smoothed(r, mu):
+    a = np.abs(r)
+    return np.add.reduce(np.where(a <= mu, a * a / (2.0 * mu), a - 0.5 * mu), axis=-1)
+
+
+def _huber_grad_mu(r, mu):
+    a = np.abs(r)
+    return np.add.reduce(np.where(a <= mu, -a * a / (2.0 * mu * mu), -0.5), axis=-1)
+
+
+# ||r||_1 with each |r_i| smoothed: sum sqrt(r_i^2 + mu^2) - mu, or the
+# Huber form, quadratic for |r_i| <= mu and linear beyond.
+_L1_SQRT = _Kernel(
+    smoothed=lambda r, mu: np.add.reduce(np.hypot(r, mu) - mu, axis=-1),
+    exact=lambda r: np.add.reduce(np.abs(r), axis=-1),
+    coeff=_sqrt_coeff,
+    grad_mu=lambda r, mu: np.add.reduce(mu / np.hypot(r, mu) - 1.0, axis=-1),
+    gap=_smooth_everywhere,
+)
+_L1_HUBER = _Kernel(
+    smoothed=_huber_smoothed,
+    exact=_L1_SQRT.exact,
+    coeff=_huber_coeff,
+    grad_mu=_huber_grad_mu,
+    gap=lambda r, mu: np.min(np.abs(np.abs(r) - mu), axis=-1),
+)
+
+
+def _l2(l1, denominator):
+    """The l2 surrogate that is ``l1``'s 1-d surrogate at ||r||: its values
+    are ``l1``'s on the one-entry row ||r||, and its coefficient, the 1-d
+    derivative times r / ||r||, is ``r / denominator(||r||, mu)``.
+    """
+
+    def norm(r):
+        return np.sqrt(_sum_of_squares(r))[..., None]
+
+    def coeff(r, mu, out=None):
+        return np.divide(r, denominator(norm(r), mu), out=out)
+
+    return _Kernel(
+        smoothed=lambda r, mu: l1.smoothed(norm(r), mu),
+        exact=lambda r: norm(r)[..., 0],
+        coeff=coeff,
+        grad_mu=lambda r, mu: l1.grad_mu(norm(r), mu),
+        gap=lambda r, mu: l1.gap(norm(r), mu),
+    )
+
+
+_L2_SQRT = _l2(_L1_SQRT, np.hypot)
+_L2_HUBER = _l2(_L1_HUBER, np.maximum)
+
+
+def _softmax_parts(r, mu):
+    """Each row's maximum m, the weights exp((r - m)/mu) and their sum, as columns."""
+    m = np.max(r, axis=-1, keepdims=True)
+    w = np.exp((r - m) / mu)
+    return m, w, np.add.reduce(w, axis=-1, keepdims=True)
+
+
+def _lse_smoothed(r, mu):
+    # log n and log(sum w) come from the same log, so a row of equal
+    # entries (sum w = n exactly) reads its entry exactly, and 0 reads 0.
+    m, _, total = _softmax_parts(r, mu)
+    return (m + mu * (np.log(total) - np.log(r.shape[-1])))[..., 0]
+
+
+def _lse_coeff(r, mu, out=None):
+    _, w, total = _softmax_parts(r, mu)
+    return np.divide(w, total, out=out)
+
+
+def _lse_grad_mu(r, mu):
+    # The softmax entropy minus log n, in [-log n, 0] by construction.
+    p = _lse_coeff(r, mu)
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.add.reduce(p * log_p, axis=-1) - np.log(r.shape[-1])
+
+
+# mu log(sum exp(r_i/mu)) - mu log n, with the largest entry subtracted
+# inside the exponentials, so the formula stays finite for mu far below
+# the spread of r.
+_LSE_MAX = _Kernel(
+    smoothed=_lse_smoothed,
+    exact=lambda r: np.max(r, axis=-1),
+    coeff=_lse_coeff,
+    grad_mu=_lse_grad_mu,
+    gap=_smooth_everywhere,
+)
+
+
+class _Residual(SmoothApprox):
+    """``kernel`` on the residual ``r = C x - d``.
+
+    The vector surrogates take C = I and d = 0, held as ``c = d = None``,
+    so ``r`` is ``x`` itself and no n x n matrix is stored or multiplied.
+    A least-squares problem stacks ``C`` and ``d`` (the identity and 0 for
+    None) under its ``A`` and ``b`` and runs the kernel on its one
+    residual (``problem._Stacked``).
+    """
+
+    def __init__(self, dim, c, d, kernel, params):
+        self.input_dim = dim
+        self._c = c
+        self._d = d
+        self._kernel = kernel
+        self.params = params
+
+    def point(self, x):
+        return _ResidualPoint(self, self._check_input(x))
+
+    def _residual(self, xs):
+        """C x - d at one point, or at each row of a stack of points."""
+        return xs if self._c is None else xs @ self._c.T - self._d
+
+    def underlying_value(self, x):
+        return self.point(x).exact()
+
+    def value(self, x, mu):
+        return self.point(x).value(mu)
+
+    def grad_x(self, x, mu):
+        return self.point(x).grad(mu)
+
+    def grad_mu(self, x, mu):
+        return self.point(x).grad_mu(mu)
+
+    def branch_distance(self, x, mu):
+        return float(self._kernel.gap(self.point(x)._r, mu))
+
+
+class _ResidualPoint:
+    """A ``_Residual`` at one x: r = C x - d is formed once and read at every mu."""
+
+    __slots__ = ("_c", "_kernel", "_r")
+
+    def __init__(self, term, x):
+        self._c = term._c
+        self._kernel = term._kernel
+        self._r = term._residual(x)
+
+    def value(self, mu):
+        return float(self._kernel.smoothed(self._r, _check_mu(mu)))
+
+    def grad(self, mu):
+        coeff = self._kernel.coeff(self._r, _check_mu(mu))
+        return coeff if self._c is None else self._c.T @ coeff
+
+    def grad_mu(self, mu):
+        return float(self._kernel.grad_mu(self._r, _check_mu(mu)))
+
+    def exact(self):
+        return float(self._kernel.exact(self._r))
+
+
 def _check_dim(dim):
     if int(dim) < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
     return int(dim)
 
 
-class _SqrtL2(SmoothApprox):
-    """sqrt(||x||^2 + mu^2) - mu, a surrogate for the l2 norm."""
-
-    def __init__(self, dim):
-        self.input_dim = _check_dim(dim)
-        self.params = SmoothingParams(1.0, 1.0)
-
-    def underlying_value(self, x):
-        return _norm(self._check_input(x))
-
-    def value(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        return math.hypot(_norm(x), mu) - mu
-
-    def grad_x(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        return x / math.hypot(_norm(x), mu)
-
-    def grad_mu(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        return mu / math.hypot(_norm(x), mu) - 1.0
-
-
-class _HuberL2(SmoothApprox):
-    """Huber surrogate for the l2 norm: quadratic core, linear tails.
-
-    The two branches agree in value and x-gradient at ||x|| = mu; the
-    mu-derivative jumps there, and the quadratic branch is the one
-    evaluated at equality.
-    """
-
-    def __init__(self, dim):
-        self.input_dim = _check_dim(dim)
-        self.params = SmoothingParams(1.0, 0.5)
-
-    def underlying_value(self, x):
-        return _norm(self._check_input(x))
-
-    def value(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        r = _norm(x)
-        if r <= mu:
-            return r * r / (2.0 * mu)
-        return r - 0.5 * mu
-
-    def grad_x(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        r = _norm(x)
-        if r <= mu:
-            return x / mu
-        return x / r
-
-    def grad_mu(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        r = _norm(x)
-        if r <= mu:
-            return -r * r / (2.0 * mu * mu)
-        return -0.5
-
-    def branch_distance(self, x, mu):
-        r = _norm(self._check_input(x))
-        return abs(r - float(mu))
-
-
-class _LogSumExpMax(SmoothApprox):
-    """mu * log(sum exp(x_i/mu)) - mu*log(n), a surrogate for max(x).
-
-    The largest entry is subtracted inside the exponentials, so the
-    formula stays finite for mu far below the spread of x. The
-    mu-derivative equals softmax entropy minus log(n), which keeps it in
-    [-log n, 0] by construction.
-    """
-
-    def __init__(self, dim):
-        self.input_dim = _check_dim(dim)
-        self._log_n = math.log(float(self.input_dim))
-        # log(1) = 0 is not an admissible beta; for dim 1 the surrogate is
-        # exact (gap 0, grad_mu 0), so any positive beta certifies.
-        beta = self._log_n if self.input_dim > 1 else 1.0
-        self.params = SmoothingParams(1.0, beta)
-
-    def underlying_value(self, x):
-        return float(np.max(self._check_input(x)))
-
-    def _weights(self, x, mu):
-        m = float(np.max(x))
-        w = np.exp((x - m) / mu)
-        return m, w, float(np.sum(w))
-
-    def value(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        m, _, total = self._weights(x, mu)
-        return m + mu * (math.log(total) - self._log_n)
-
-    def grad_x(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        _, w, total = self._weights(x, mu)
-        return w / total
-
-    def grad_mu(self, x, mu):
-        x = self._check_input(x)
-        mu = self._check_mu(mu)
-        _, w, total = self._weights(x, mu)
-        p = w / total
-        nz = p > 0.0
-        entropy = -float(np.sum(p[nz] * np.log(p[nz])))
-        return entropy - self._log_n
+def _vector(dim, kernel, beta):
+    """``kernel`` on x itself (C = I, d = 0), parameters (1, beta)."""
+    return _Residual(dim, None, None, kernel, SmoothingParams(1.0, beta))
 
 
 def sqrt_l2_approx(dim):
-    """Square-root smooth surrogate of the l2 norm, parameters (1, 1)."""
-    return _SqrtL2(dim)
+    """Square-root smooth surrogate of the l2 norm, sqrt(||x||^2 + mu^2) - mu, parameters (1, 1)."""
+    return _vector(_check_dim(dim), _L2_SQRT, 1.0)
 
 
 def huber_l2_approx(dim):
-    """Huber smooth surrogate of the l2 norm, parameters (1, 1/2)."""
-    return _HuberL2(dim)
+    """Huber smooth surrogate of the l2 norm, parameters (1, 1/2).
+
+    ||x||^2 / (2 mu) for ||x|| <= mu, else ||x|| - mu/2. The branches
+    agree in value and gradient at ||x|| = mu; the mu-derivative jumps
+    there, and the quadratic branch is the one evaluated at equality.
+    """
+    return _vector(_check_dim(dim), _L2_HUBER, 0.5)
 
 
 def log_sum_exp_max_approx(dim):
-    """Log-sum-exp surrogate of the coordinate maximum, parameters (1, log n)."""
-    return _LogSumExpMax(dim)
+    """Log-sum-exp surrogate of the coordinate maximum, parameters (1, log n).
+
+    mu log(sum exp(x_i/mu)) - mu log n, whose mu-derivative is the
+    softmax entropy minus log n. For n = 1 the surrogate is exact (gap
+    0, mu-derivative 0) and log 1 = 0 is no admissible beta, so any
+    positive beta certifies it; it takes 1.
+    """
+    dim = _check_dim(dim)
+    return _vector(dim, _LSE_MAX, math.log(float(dim)) if dim > 1 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -311,12 +411,12 @@ class _AffineSum(SmoothApprox):
 
     def value(self, x, mu):
         x = self._check_input(x)
-        mu = self._check_mu(mu)
+        mu = _check_mu(mu)
         return sum(t.weight * t.inner.value(t.matrix @ x + t.offset, mu) for t in self.terms)
 
     def grad_x(self, x, mu):
         x = self._check_input(x)
-        mu = self._check_mu(mu)
+        mu = _check_mu(mu)
         g = np.zeros(self.input_dim)
         for t in self.terms:
             g += t.weight * (t.matrix.T @ t.inner.grad_x(t.matrix @ x + t.offset, mu))
@@ -324,7 +424,7 @@ class _AffineSum(SmoothApprox):
 
     def grad_mu(self, x, mu):
         x = self._check_input(x)
-        mu = self._check_mu(mu)
+        mu = _check_mu(mu)
         return sum(t.weight * t.inner.grad_mu(t.matrix @ x + t.offset, mu) for t in self.terms)
 
     def branch_distance(self, x, mu):
@@ -345,125 +445,10 @@ def affine_sum(terms):
     return _AffineSum(list(terms))
 
 
-# The one-dimensional surrogate of |r| behind each name ``l1_residual`` takes.
-L1_SMOOTHERS = {"sqrt_l2": _SqrtL2, "huber_l2": _HuberL2}
-
-
-class _L1Residual(SmoothApprox):
-    """||C x - d||_1, each |c_i x - d_i| smoothed by one 1-d l2 surrogate."""
-
-    def __init__(self, c, d, smoothing):
-        if smoothing not in L1_SMOOTHERS:
-            raise InvalidParameterError(
-                f"unknown smoothing {smoothing!r}; choose from {sorted(L1_SMOOTHERS)}"
-            )
-        if c.ndim != 2 or c.size == 0:
-            raise DimensionMismatchError(f"C must be a non-empty 2-D array, got shape {c.shape}")
-        if d.shape != (c.shape[0],):
-            raise DimensionMismatchError(f"d has shape {d.shape}, expected ({c.shape[0]},)")
-        self.input_dim = c.shape[1]
-        self._c = c
-        self._d = d
-        self._huber = smoothing == "huber_l2"
-        # alpha_1 (1 for both) times ||C||_F^2, one dot product of c.size terms
-        # rounded up; SmoothingParams rejects a norm past the double range.
-        with np.errstate(over="ignore"):
-            square = float(c.ravel() @ c.ravel())
-        inner = L1_SMOOTHERS[smoothing](1).params
-        self.params = SmoothingParams(upper(square, c.size) * inner.alpha, len(d) * inner.beta)
-
-    def point(self, x):
-        return _L1Point(self, self._check_input(x))
-
-    def underlying_value(self, x):
-        return self.point(x).exact()
-
-    def value(self, x, mu):
-        return self.point(x).value(mu)
-
-    def grad_x(self, x, mu):
-        return self.point(x).grad(mu)
-
-    def grad_mu(self, x, mu):
-        return self.point(x).grad_mu(mu)
-
-    def branch_distance(self, x, mu):
-        if not self._huber:
-            return math.inf
-        return float(np.min(np.abs(np.abs(self.point(x)._r) - mu)))
-
-
-def _l1_smoothed(huber, r, mu):
-    """The surrogate of ||r||_1 at mu: the per-row surrogates of |r|, summed.
-
-    ``r`` holds one residual row with ``mu`` a scalar, or a chunk of
-    rows with ``mu`` a column (or one row read at every mu); each sum is
-    one ``np.add.reduce`` over the last axis, so a row of a chunk reads
-    the same bits as that row alone.
-    """
-    if huber:
-        a = np.abs(r)
-        per = np.where(a <= mu, a * a / (2.0 * mu), a - 0.5 * mu)
-    else:
-        per = np.hypot(r, mu) - mu
-    return np.add.reduce(per, axis=-1)
-
-
-def _l1_exact(r):
-    """||r||_1 per row of ``r``, the reduction of ``_l1_smoothed``."""
-    return np.add.reduce(np.abs(r), axis=-1)
-
-
-def _l1_coefficient(huber, r, mu, out=None):
-    """The derivative of each row's surrogate of |r| at mu, written to ``out`` if given.
-
-    For Huber it is clip(r/mu, -1, 1), bit for bit where(|r| <= mu,
-    r/mu, sign(r)): division rounds monotonically and gives exactly +-1
-    at |r| = mu, so r/mu lies beyond +-1 exactly where |r| > mu, and
-    +-0, +-inf and NaN map alike. For the sqrt smoother it is
-    r / hypot(r, mu).
-    """
-    if huber:
-        coeff = np.divide(r, mu, out=out)
-        return coeff.clip(-1.0, 1.0, out=coeff)
-    coeff = np.hypot(r, mu, out=out)
-    return np.divide(r, coeff, out=coeff)
-
-
-class _L1Point:
-    """``l1_residual`` at one x: r = C x - d is formed once.
-
-    The values and gradients at every mu are read from ``_r``
-    through the kernels the stacked ``CompositePoint`` uses.
-    """
-
-    __slots__ = ("_mat", "_huber", "_r")
-
-    def __init__(self, term, x):
-        self._mat = term._c
-        self._huber = term._huber
-        self._r = self._mat @ x - term._d
-
-    def value(self, mu):
-        mu = SmoothApprox._check_mu(mu)
-        return float(_l1_smoothed(self._huber, self._r, mu))
-
-    def grad(self, mu):
-        mu = SmoothApprox._check_mu(mu)
-        return self._mat.T @ _l1_coefficient(self._huber, self._r, mu)
-
-    def grad_mu(self, mu):
-        mu = SmoothApprox._check_mu(mu)
-        r = self._r
-        if self._huber:
-            a = np.abs(r)
-            per = np.where(a <= mu, -a * a / (2.0 * mu * mu), -0.5)
-        else:
-            per = mu / np.hypot(r, mu) - 1.0
-        return float(np.add.reduce(per, axis=-1))
-
-    def exact(self):
-        return float(_l1_exact(self._r))
+# The one-dimensional surrogate of |r| behind each name ``l1_residual`` takes,
+# and the kernel that sums it over the rows of C x - d.
+L1_SMOOTHERS = {"sqrt_l2": sqrt_l2_approx, "huber_l2": huber_l2_approx}
+_L1_KERNELS = {"sqrt_l2": _L1_SQRT, "huber_l2": _L1_HUBER}
 
 
 def l1_residual(c, d, smoothing):
@@ -473,7 +458,23 @@ def l1_residual(c, d, smoothing):
     of each |c_i x - d_i|. By the composition rule the parameters are
     ``alpha = alpha_1 ||C||_F^2``, rounded up, and ``beta = n_C beta_1``.
     """
-    return _L1Residual(np.asarray(c, dtype=float), np.asarray(d, dtype=float), smoothing)
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if smoothing not in L1_SMOOTHERS:
+        raise InvalidParameterError(
+            f"unknown smoothing {smoothing!r}; choose from {sorted(L1_SMOOTHERS)}"
+        )
+    if c.ndim != 2 or c.size == 0:
+        raise DimensionMismatchError(f"C must be a non-empty 2-D array, got shape {c.shape}")
+    if d.shape != (c.shape[0],):
+        raise DimensionMismatchError(f"d has shape {d.shape}, expected ({c.shape[0]},)")
+    # alpha_1 (1 for both) times ||C||_F^2, one dot product of c.size terms
+    # rounded up; SmoothingParams rejects a norm past the double range.
+    with np.errstate(over="ignore"):
+        square = float(c.ravel() @ c.ravel())
+    inner = L1_SMOOTHERS[smoothing](1).params
+    params = SmoothingParams(upper(square, c.size) * inner.alpha, len(d) * inner.beta)
+    return _Residual(c.shape[1], c, d, _L1_KERNELS[smoothing], params)
 
 
 @dataclass
@@ -514,17 +515,24 @@ class CertificationReport:
         )
 
 
-def _fd_grad(fn, x):
-    """Central-difference gradient of a scalar function, for validation."""
+def _fd_grad(values, x):
+    """Central-difference gradient of a scalar function, for validation.
+
+    ``values`` maps a stack of points, one per row, to their values. It
+    is called once, on the 2n points x + h_j e_j and then x - h_j e_j.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    e = np.zeros_like(x)  # one perturbation buffer, zero outside coordinate j
-    for j in range(x.size):
-        h = 3e-7 * (1.0 + abs(x[j]))
-        e[j] = h
-        g[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-        e[j] = 0.0
-    return g
+    h = 3e-7 * (1.0 + np.abs(x))
+    steps = np.diag(h)
+    v = values(np.concatenate((x + steps, x - steps)))
+    return (v[: x.size] - v[x.size :]) / (2.0 * h)
+
+
+def _values_at(approx, mu):
+    """``approx.value`` at each row of a stack: one kernel call for a built-in residual."""
+    if type(approx) is _Residual:
+        return lambda xs: approx._kernel.smoothed(approx._residual(xs), mu)
+    return lambda xs: np.array([approx.value(x, mu) for x in xs])
 
 
 def certify(
@@ -597,7 +605,7 @@ def certify(
             continue
         report.checked_fd_samples += 1
 
-        fd_x = _fd_grad(lambda y: approx.value(y, mu), x)
+        fd_x = _fd_grad(_values_at(approx, mu), x)
         denom = 1.0 + _norm(fd_x)
         report.grad_x_fd_rel = max(
             report.grad_x_fd_rel, _norm(gx - fd_x) / denom

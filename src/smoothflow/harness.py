@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .approx import L1_SMOOTHERS, l1_residual
 from .errors import ConfigError
-from .problem import CompositeProblem, GradEvalCounter, quadratic_least_squares
-from .rng import Xoshiro256pp, standard_normal
+from .problem import CompositeProblem, quadratic_least_squares
+from .rng import Xoshiro256pp
 from .schedule import (
     ContinuousDriven,
     ExpDecay,
@@ -37,9 +37,7 @@ from .schedule import (
 
 __all__ = [
     "ExperimentConfig",
-    "GradEvalCounter",
     "generate_problem",
-    "standard_normal",
     "schedule_from_config",
     "trajectory_csv",
     "flow_csv",

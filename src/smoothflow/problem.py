@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._linalg import gram_error, symmetric_eigenvalues
-from .approx import _L1Residual, _l1_coefficient, _l1_exact, _l1_smoothed
+from .approx import _check_mu, _Kernel, _Residual, _sum_of_squares
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -88,11 +88,6 @@ class SmoothPart:
             object.__setattr__(self, "point", functools.partial(_PartPoint, self))
 
 
-def _sum_of_squares(r):
-    """||r||^2 per row of ``r``, the one reduction behind single and chunk values."""
-    return np.add.reduce(r * r, axis=-1)
-
-
 class _LeastSquaresPoint:
     """||A x - b||^2 at one x: the residual A x - b is formed once."""
 
@@ -147,46 +142,49 @@ def quadratic_least_squares(a, b):
 
 
 class _Stacked(NamedTuple):
-    """A least-squares f and an ``l1_residual`` h (or none) as one affine map.
+    """A least-squares f and a built-in h (or none) as one affine map.
 
     The first ``n_a`` rows of ``m`` and ``e`` are f's ``A`` and ``b``,
-    the rest h's ``C`` and ``d``; ``mt`` is ``m.T``. ``huber`` names h's
-    smoother, and is None when there is no h.
+    the rest h's ``C`` and ``d``; ``mt`` is ``m.T``. ``kernel`` is h's
+    kernel over its rows (``approx._Kernel``), and None when there is
+    no h.
     """
 
     m: np.ndarray
     mt: np.ndarray
     e: np.ndarray
     n_a: int
-    huber: Optional[bool]
+    kernel: Optional[_Kernel]
 
     @classmethod
     def of(cls, f, h):
-        """The stacked map of ``f`` and ``h``, or None unless both are built-in affine parts."""
+        """The stacked map of ``f`` and ``h``, or None unless both are built-in parts."""
         point = f.point
         if not (isinstance(point, functools.partial) and point.func is _LeastSquaresPoint):
             return None
         a, b = point.args
         if h is None:
             return cls(a, a.T, b, a.shape[0], None)
-        if type(h) is not _L1Residual:
+        if type(h) is not _Residual:
             return None
-        m = np.vstack((a, h._c))
-        return cls(m, m.T, np.concatenate((b, h._d)), a.shape[0], h._huber)
+        n = h.input_dim
+        c, d = (np.eye(n), np.zeros(n)) if h._c is None else (h._c, h._d)
+        m = np.vstack((a, c))
+        return cls(m, m.T, np.concatenate((b, d)), a.shape[0], h._kernel)
 
     def smoothed(self, r, mu):
         """F(x, mu) at residual rows ``r``: one row with a scalar mu, or rows with a mu column."""
         f = _sum_of_squares(r[..., : self.n_a])
-        if self.huber is None:
+        if self.kernel is None:
             return f
-        return f + _l1_smoothed(self.huber, r[..., self.n_a :], mu)
+        return f + self.kernel.smoothed(r[..., self.n_a :], mu)
 
     def exact(self, r):
         """F(x) at residual rows ``r``."""
         f = _sum_of_squares(r[..., : self.n_a])
-        if self.huber is None:
+        if self.kernel is None:
             return f
-        return f + _l1_exact(r[..., self.n_a :])
+        return f + self.kernel.exact(r[..., self.n_a :])
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ class CompositeProblem:
 
     ``h`` may be None for purely smooth problems (the surrogate terms
     then drop out and ``alpha = beta = 0``). When f is a
-    ``quadratic_least_squares`` part and h an ``l1_residual`` (or None),
+    ``quadratic_least_squares`` part and h a built-in surrogate (or None),
     their matrices and offsets are stacked once, here, into
     ``M = [A; C]`` and ``e = [b; d]``, and every point forms the one
     residual ``M x - e`` (see ``CompositePoint``).
@@ -266,16 +264,11 @@ class CompositeProblem:
         return self.optimum
 
 
-def _check_mu(mu):
-    if not (mu > 0.0):
-        raise InvalidParameterError(f"mu must be > 0, got {mu}")
-
-
 class CompositePoint:
     """F at one x: the gradient, F(x, mu) and F(x) from one pass over x.
 
-    On a stacked problem (a least-squares f and an ``l1_residual`` h, or
-    no h) the point owns the residual ``r = M x - e`` and the gradient's
+    On a stacked problem (a least-squares f and a built-in h, or no h)
+    the point owns the residual ``r = M x - e`` and the gradient's
     weights ``w``, each allocated once, with views on their f and h
     rows. ``move(x)`` re-forms ``r`` in place, so a run builds one point
     and moves it from iterate to iterate. The gradient is one product
@@ -283,14 +276,15 @@ class CompositePoint:
     depend on how BLAS blocks the rows of ``M``, so they may differ from
     ``f.grad + h.grad_x``, which sum two products. The values sum the
     rows of ``r`` with the kernels ``_ValueChunk`` runs on a chunk of
-    points. Any other problem reads its parts' own points: the residuals
+    points. Any other problem (a user ``SmoothPart`` or ``SmoothApprox``
+    subclass, or ``affine_sum``) reads its parts' own points: the residuals
     inside them are formed when the point is built, and ``move`` builds
     a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
-    checked on every formation, here or by ``h``'s point, and ``mu`` on
-    every read.
+    checked on every formation, here or by ``h``'s point, and ``mu`` here
+    on every read.
     """
 
     __slots__ = (
@@ -349,26 +343,24 @@ class CompositePoint:
 
     def grad(self, mu):
         """grad_x F(x, mu)."""
+        _check_mu(mu)
         stacked = self._stacked
         if stacked is not None:
-            _check_mu(mu)
             r_a = self._r_a
             np.add(r_a, r_a, self._w_a)  # 2 r_A, exactly
-            if stacked.huber is not None:
-                _l1_coefficient(stacked.huber, self._r_c, mu, out=self._w_c)
+            if stacked.kernel is not None:
+                stacked.kernel.coeff(self._r_c, mu, self._w_c)
             return np.dot(stacked.mt, self._w)
         if self._h is None:
-            _check_mu(mu)
             return self._f.grad()
         return self._f.grad() + self._h.grad(mu)
 
     def smoothed(self, mu):
         """F(x, mu) = f(x) + h_tilde(x, mu)."""
+        _check_mu(mu)
         if self._stacked is not None:
-            _check_mu(mu)
             return float(self._stacked.smoothed(self._r, mu))
         if self._h is None:
-            _check_mu(mu)
             return float(self._f_value())
         return float(self._f_value() + self._h.value(mu))
 
@@ -417,9 +409,10 @@ class _ValueChunk:
         """F(x, mu) of the first added point as a float when it is F(x) at every mu, else None.
 
         That holds on a stacked problem whose h rows are exactly 0 at the
-        point, as at x* of every generated problem: each row's surrogate
-        reads exactly 0 there, hypot(0, mu) - mu or 0 * 0 / (2 mu), at
-        every finite mu > 0, so F(x, mu) = f(x) + 0 = F(x) bit for bit.
+        point, as at x* of every generated problem: every built-in kernel
+        reads exactly 0 on a zero residual, for example hypot(0, mu) - mu
+        or 0 * 0 / (2 mu), at every finite mu > 0, so F(x, mu) = f(x) + 0
+        = F(x) bit for bit.
         """
         if self._rows is None:
             return None

@@ -3,8 +3,9 @@
 Each record's ``f_tilde``, ``f_true`` and Lyapunov value must equal the
 single-point functions at the record's own state bit for bit, across
 chunk boundaries, whether the problem's parts have a row kernel (least
-squares, ``l1_residual``) or are read point by point; and the chunk's
-memory must not grow with the number of records.
+squares with a built-in h) or are read point by point (a user part);
+and the chunk's memory must not grow with the number of records. Each
+built-in kernel reads a row of a chunk as it reads that row alone.
 """
 
 import math
@@ -12,17 +13,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothflow import (
     CompositeProblem,
     PowerDecay,
     ReciprocalMu,
+    SmoothApprox,
+    SmoothingParams,
     SmoothPart,
     advance,
     bound_discrete,
+    huber_l2_approx,
     initial_state,
     integrate_rk45,
     l1_residual,
+    log_sum_exp_max_approx,
     lyapunov_continuous,
     lyapunov_discrete,
     quadratic_least_squares,
@@ -30,6 +37,7 @@ from smoothflow import (
     smoothed_value,
     sqrt_l2_approx,
 )
+from smoothflow import approx
 from smoothflow.errors import InvalidParameterError
 from smoothflow.harness import ExperimentConfig, generate_problem
 
@@ -43,12 +51,47 @@ def l1_problem(smoothing, n_a=8):
     return generate_problem(cfg)
 
 
-def sqrt_l2_problem():
-    """||A x||^2 + sqrt(x^2 + mu^2) - mu in one dimension; h has no residual."""
-    a = np.random.default_rng(1).standard_normal((ROWS, 1))
-    return CompositeProblem(
-        f=quadratic_least_squares(a, np.zeros(ROWS)), h=sqrt_l2_approx(1), optimum=np.zeros(1)
+def vector_problem(h):
+    """||A x||^2 + h(x) for a vector surrogate h, which stacks with C = I.
+
+    x* = 0 is a stand-in optimum with a zero h residual.
+    """
+    n = h.input_dim
+    a = np.random.default_rng(1).standard_normal((ROWS, n))
+    return CompositeProblem(f=quadratic_least_squares(a, np.zeros(ROWS)), h=h, optimum=np.zeros(n))
+
+
+class UserSqrtL2(SmoothApprox):
+    """sqrt(||x||^2 + mu^2) - mu written as a user subclass, so it is read point by point."""
+
+    params = SmoothingParams(1.0, 1.0)
+
+    def __init__(self, dim):
+        self.input_dim = dim
+
+    def underlying_value(self, x):
+        return math.sqrt(x @ x)
+
+    def value(self, x, mu):
+        return math.hypot(math.sqrt(x @ x), mu) - mu
+
+    def grad_x(self, x, mu):
+        return x / math.hypot(math.sqrt(x @ x), mu)
+
+    def grad_mu(self, x, mu):
+        return mu / math.hypot(math.sqrt(x @ x), mu) - 1.0
+
+
+def custom_approx_problem():
+    """||x||^2 plus a user SmoothApprox subclass: no part has a residual.
+
+    A chunk of points holds 2**14 floats of x, so with n_x = ROWS it
+    holds 32 records, and the short runs below cross its boundaries.
+    """
+    f = SmoothPart(
+        value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=2.0, lipschitz=2.0, input_dim=ROWS
     )
+    return CompositeProblem(f=f, h=UserSqrtL2(ROWS), optimum=np.zeros(ROWS))
 
 
 def custom_part_problem():
@@ -78,18 +121,24 @@ PROBLEMS = {
     "l1-huber_l2": lambda: l1_problem("huber_l2"),
     # n_A = 7 leaves a partial block of BLAS's 4 rows in the stacked product.
     "l1-huber_l2-7-rows": lambda: l1_problem("huber_l2", n_a=7),
-    "sqrt_l2_approx": sqrt_l2_problem,
+    "sqrt_l2_approx": lambda: vector_problem(sqrt_l2_approx(1)),
+    "huber_l2_approx": lambda: vector_problem(huber_l2_approx(3)),
+    "log_sum_exp_max_approx": lambda: vector_problem(log_sum_exp_max_approx(4)),
     "custom-part": custom_part_problem,
+    "custom-approx": custom_approx_problem,
     "h-none": smooth_only_problem,
 }
 
 
-# Least squares with l1_residual or no h: one stacked residual row a
-# point, of n_A + n_C floats.
+# Least squares with a built-in h or no h: one stacked residual row a
+# point, of n_A + n_C floats (n_C = n_x for a vector surrogate).
 STACKED_ROWS = {
     "l1-sqrt_l2": 8 + ROWS,
     "l1-huber_l2": 8 + ROWS,
     "l1-huber_l2-7-rows": 7 + ROWS,
+    "sqrt_l2_approx": ROWS + 1,
+    "huber_l2_approx": ROWS + 3,
+    "log_sum_exp_max_approx": ROWS + 4,
     "h-none": ROWS,
 }
 
@@ -239,3 +288,57 @@ def test_monitor_memory_is_flat_in_the_step_count():
     short, long = monitor_overhead(problem, 4000), monitor_overhead(problem, 16000)
     assert abs(long - short) <= 512 * 1024
     assert long < 4 * 2**20
+
+
+KERNELS = {
+    "l1-sqrt": approx._L1_SQRT,
+    "l1-huber": approx._L1_HUBER,
+    "l2-sqrt": approx._L2_SQRT,
+    "l2-huber": approx._L2_HUBER,
+    "log-sum-exp-max": approx._LSE_MAX,
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNELS)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(1, 5),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_kernel_rows_of_a_chunk_read_as_the_row_alone(name, seed, n, k, scale):
+    # The chunk reads are _ValueChunk's: rows at a mu column, and one row
+    # (x*'s) at every mu of a column.
+    kernel = KERNELS[name]
+    rng = np.random.default_rng(seed)
+    rows = scale * rng.standard_normal((k, n))
+    mu = np.exp(rng.uniform(np.log(1e-4), np.log(1e2), k))
+    smoothed = kernel.smoothed(rows, mu[:, None])
+    exact = kernel.exact(rows)
+    coeff = kernel.coeff(rows, mu[:, None])
+    grad_mu = kernel.grad_mu(rows, mu[:, None])
+    at_every_mu = kernel.smoothed(rows[:1], mu[:, None])
+    for i in range(k):
+        assert same_bits(smoothed[i], kernel.smoothed(rows[i], mu[i]))
+        assert same_bits(exact[i], kernel.exact(rows[i]))
+        assert same_bits(coeff[i], kernel.coeff(rows[i], mu[i]))
+        assert same_bits(grad_mu[i], kernel.grad_mu(rows[i], mu[i]))
+        assert same_bits(at_every_mu[i], kernel.smoothed(rows[0], mu[i]))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 500])
+def test_kernel_reads_zero_on_a_zero_row(name, n):
+    # _ValueChunk.mu_free_value reads F(x*, mu) = F(x*) on this.
+    kernel = KERNELS[name]
+    mus = np.array([5e-324, 1e-300, 1e-3, 0.7, 1.0, 3.0, 1e300])
+    for mu in mus:
+        assert kernel.smoothed(np.zeros(n), mu) == 0.0
+    assert not kernel.smoothed(np.zeros((1, n)), mus[:, None]).any()
+    assert kernel.exact(np.zeros(n)) == 0.0

@@ -50,7 +50,7 @@ class TestQuadraticLeastSquares:
         f = quadratic_least_squares(a, b)
         for _ in range(20):
             x = rng.normals(3)
-            fd = _fd_grad(f.value, x)
+            fd = _fd_grad(lambda xs: np.array([f.value(y) for y in xs]), x)
             rel = np.linalg.norm(f.grad(x) - fd) / (1.0 + np.linalg.norm(fd))
             assert rel <= 1e-6
 
@@ -143,7 +143,7 @@ class TestSmoothedObjective:
             x = rng.normals(2)
             mu = 0.05 + 2.0 * rng.uniform()
             g = smoothed_grad(self.p, x, mu)
-            fd = _fd_grad(lambda y: smoothed_value(self.p, y, mu), x)
+            fd = _fd_grad(lambda xs: np.array([smoothed_value(self.p, y, mu) for y in xs]), x)
             rel = np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd))
             assert rel <= 1e-6
 

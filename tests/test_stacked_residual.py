@@ -12,8 +12,14 @@ its residual in place without touching what it returned before.
 import numpy as np
 import pytest
 
-from smoothflow import CompositeProblem, l1_residual, quadratic_least_squares, sqrt_l2_approx
-from smoothflow.approx import L1_SMOOTHERS, _l1_coefficient
+from smoothflow import (
+    CompositeProblem,
+    SmoothPart,
+    l1_residual,
+    quadratic_least_squares,
+    sqrt_l2_approx,
+)
+from smoothflow.approx import _L1_KERNELS, L1_SMOOTHERS
 from smoothflow.errors import DimensionMismatchError
 from smoothflow.harness import ExperimentConfig, generate_problem
 
@@ -32,7 +38,7 @@ def test_huber_clip_coefficient_is_the_where_sign_coefficient(mu):
     specials = [0.0, -0.0, mu, -mu, below, -below, above, -above, np.inf, -np.inf, np.nan, -np.nan]
     r = np.concatenate((specials, np.random.default_rng(0).standard_normal(64) * 4.0))
     with np.errstate(all="ignore"):
-        clip = _l1_coefficient(True, r, mu)
+        clip = _L1_KERNELS["huber_l2"].coeff(r, mu)
         where = np.where(np.abs(r) <= mu, r / mu, np.sign(r))
     assert np.array_equal(clip.view(np.uint64), where.view(np.uint64))
 
@@ -65,7 +71,7 @@ def test_stacked_gradient_matches_the_parts_gradients(n_a, smoothing, mu):
     # terms on one side and two summed products on the other.
     m, e = np.vstack((a, c)), np.concatenate((b, d))
     r = m @ x - e
-    w = np.concatenate((2.0 * r[:n_a], _l1_coefficient(smoothing == "huber_l2", r[n_a:], mu)))
+    w = np.concatenate((2.0 * r[:n_a], _L1_KERNELS[smoothing].coeff(r[n_a:], mu)))
     dr = 2.0 * gamma(x.size + 1) * (np.abs(m) @ np.abs(x) + np.abs(e))
     dw = np.concatenate((2.0 * dr[:n_a], dr[n_a:] / mu))
     bound = 2.0 * gamma(len(e) + 1) * (np.abs(m).T @ (np.abs(w) + dw)) + np.abs(m).T @ dw
@@ -107,8 +113,12 @@ def test_moved_point_leaves_earlier_gradients_alone(smoothing):
 
 
 def test_moving_a_point_without_a_stack_builds_a_fresh_one():
-    # A _ValueChunk keeps such points, so a move must not change one.
-    p = CompositeProblem(f=quadratic_least_squares(np.eye(3), np.ones(3)), h=sqrt_l2_approx(3))
+    # A _ValueChunk keeps such points, so a move must not change one. A
+    # user SmoothPart has no residual to stack.
+    f = SmoothPart(
+        value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=2.0, lipschitz=2.0, input_dim=3
+    )
+    p = CompositeProblem(f=f, h=sqrt_l2_approx(3))
     point = p.point(np.zeros(3))
     moved = point.move(np.ones(3))
     assert moved is not point
