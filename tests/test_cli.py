@@ -566,6 +566,42 @@ GOLDEN_PATHS = {
         "trajectory.csv",
         "c595879904a84d893f95eb88e11981954b3b50c90fabc2d5001d94aea109ab9f",
     ),
+    "solve-sgm-json": (
+        STRONG,
+        ["solve-sgm", "--format", "json"],
+        "trajectory.json",
+        "e64cfa21412c477847f311d3cb0886180284dc3474bc9c9dfb606351c7ac97fe",
+    ),
+    "solve-sgf-euler-json": (
+        CONTINUOUS,
+        ["solve-sgf-euler", "--format", "json"],
+        "flow_euler.json",
+        "3001618a000f40b9515d234fd27d9f97f211c6de9f21d999c14acda604daae1b",
+    ),
+    "compare-json": (
+        CONTINUOUS,
+        ["compare", "--format", "json"],
+        "compare.json",
+        "6649d9d86e08123407de35da53bc52345cd3ebcba0c5051f2fbc1e16594095fc",
+    ),
+    "rate-fit-json": (
+        STRONG,
+        ["rate-fit", "--format", "json"],
+        "rate_fit.json",
+        "72110013386870b67f45c35b0a81a32c9a5d8ccccc4274e06819ca9f8b2e74e8",
+    ),
+    "generate": (
+        STRONG,
+        ["generate"],
+        "problem.json",
+        "0240d3a7f7581e0435439322fba038e3a44ee99dd46872b39b92b73ae6c69efc",
+    ),
+    "bounds-power": (
+        None,
+        ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", "50"],
+        "timeline_bounds.csv",
+        "9e2c66003f352d31e15f54f168a77d94467be7c8b675feea7749c85a297cf155",
+    ),
 }
 
 
