@@ -36,27 +36,26 @@ class TimelineBounds(NamedTuple):
     k_upper: Optional[float] = None
 
 
-def exponential_time_recursion(lipschitz, alpha, mu0, lam, k_max):
-    """Exact elapsed times for mu_k = mu0 * lam**k.
+def _time_recursion(lipschitz, alpha, mu):
+    """Elapsed times t_k - t_0, k = 0..len(mu), of the stepsizes along ``mu``.
 
-    Returns ``t_delta`` with ``t_delta[k] = t_k - t_0`` for k = 0..k_max,
-    computed by compensated summation so the sandwich checks' 1e-12
+    Computed by compensated summation so the sandwich checks' 1e-12
     absolute slack is meaningful. The stepsize is evaluated as
     mu/(L*mu + alpha), which degrades gracefully to 0 once mu
     underflows (the timeline then saturates, as it should).
     """
-    ks = np.arange(k_max, dtype=float)
-    mu = mu0 * lam**ks
     steps = mu / (lipschitz * mu + alpha)
     return np.concatenate(([0.0], kahan_cumsum(steps)))
+
+
+def exponential_time_recursion(lipschitz, alpha, mu0, lam, k_max):
+    """Exact elapsed times ``t_delta[k] = t_k - t_0``, k = 0..k_max, for mu_k = mu0 * lam**k."""
+    return _time_recursion(lipschitz, alpha, mu0 * lam ** np.arange(k_max, dtype=float))
 
 
 def power_time_recursion(lipschitz, alpha, mu0, gamma, k_max):
     """Exact elapsed times for mu_k = mu0 * (k+1)**(-gamma)."""
-    ks = np.arange(k_max, dtype=float)
-    mu = mu0 * (ks + 1.0) ** (-gamma)
-    steps = mu / (lipschitz * mu + alpha)
-    return np.concatenate(([0.0], kahan_cumsum(steps)))
+    return _time_recursion(lipschitz, alpha, mu0 * np.arange(1.0, k_max + 1.0) ** (-gamma))
 
 
 def timeline_bounds_exponential(lipschitz, alpha, mu0, lam, k, t_delta=None):

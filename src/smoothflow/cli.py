@@ -17,9 +17,10 @@ divergence, 4 schedule exhaustion under ``--strict``.
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
-import json
+import operator
 import os
 import sys
 
@@ -37,14 +38,15 @@ from .harness import (
     ExperimentConfig,
     _schedule_param,
     flow_csv,
+    flow_json,
     generate_problem,
     json_envelope,
     schedule_from_config,
     series_csv,
     timeline_csv,
     trajectory_csv,
+    trajectory_json,
 )
-from .problem import GradEvalCounter
 from .schedule import ContinuousDriven
 from .solver import STATUS_SCHEDULE, closed_form_bound_nonstrongly, run_sgm
 
@@ -147,24 +149,6 @@ def _schedule(cfg):
     return schedule_from_config(cfg.schedule, t0=_DEFAULT_T0)
 
 
-def _trajectory_records_json(traj):
-    return [
-        {
-            "k": r.k,
-            "t": r.t,
-            "s": r.s,
-            "mu": r.mu,
-            "f_tilde": r.f_tilde,
-            "f_true": r.f_true,
-            "grad_norm": r.grad_norm,
-            "lyapunov": None if np.isnan(r.lyapunov) else r.lyapunov,
-            "bound": None if np.isnan(r.bound) else r.bound,
-            "grad_evals": r.grad_evals,
-        }
-        for r in traj.records
-    ]
-
-
 def _emit_trajectory(args, cfg, traj, stem):
     out = _out_dir(args, cfg)
     if args.format == "csv":
@@ -172,7 +156,7 @@ def _emit_trajectory(args, cfg, traj, stem):
     else:
         envelope = json_envelope(
             cfg.to_dict(),
-            {"status": traj.status, "schedule": traj.schedule, "records": _trajectory_records_json(traj)},
+            {"status": traj.status, "schedule": traj.schedule, "records": trajectory_json(traj)},
         )
         _write(os.path.join(out, stem + ".json"), envelope)
     if args.strict and traj.status == STATUS_SCHEDULE:
@@ -236,20 +220,6 @@ def _cmd_solve_euler(args):
     return _emit_trajectory(args, cfg, traj, "flow_euler")
 
 
-def _flow_samples_json(samples):
-    return [
-        {
-            "t": s.t,
-            "mu": s.mu,
-            "f_true": s.f_true,
-            "lyapunov_v": None if np.isnan(s.lyapunov_v) else s.lyapunov_v,
-            "bound_ct": None if np.isnan(s.bound_ct) else s.bound_ct,
-            "grad_evals": s.grad_evals,
-        }
-        for s in samples
-    ]
-
-
 def _rk45_leg(cfg, problem):
     sched = _schedule(cfg)
     if not isinstance(sched, ContinuousDriven):
@@ -258,11 +228,7 @@ def _rk45_leg(cfg, problem):
     t_end = _run_param(cfg, "t_end", float, t0 + 1.0)
     rtol = _run_param(cfg, "rtol", float, 1e-3)
     atol = _run_param(cfg, "atol", float, 1e-6)
-    counter = GradEvalCounter()
-    samples = integrate_rk45(
-        problem, sched.mu_of_t, _x0(cfg), t0, t_end, rtol, atol, counter=counter
-    )
-    return samples, counter
+    return integrate_rk45(problem, sched.mu_of_t, _x0(cfg), t0, t_end, rtol, atol)
 
 
 def _warn_gap_above_bound(samples, f_star):
@@ -279,158 +245,125 @@ def _warn_gap_above_bound(samples, f_star):
 def _cmd_solve_rk45(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
-    samples, _ = _rk45_leg(cfg, problem)
+    samples = _rk45_leg(cfg, problem)
     out = _out_dir(args, cfg)
     if args.format == "csv":
         _write(os.path.join(out, "flow_rk45.csv"), flow_csv(samples))
     else:
-        envelope = json_envelope(cfg.to_dict(), {"samples": _flow_samples_json(samples)})
+        envelope = json_envelope(cfg.to_dict(), {"samples": flow_json(samples)})
         _write(os.path.join(out, "flow_rk45.json"), envelope)
     _warn_gap_above_bound(samples, problem.optimal_value)
     return _EXIT_OK
 
 
+def _bound_series(cfg, problem, k_max):
+    """(ks, bounds, ||x0 - x*||^2): the discrete bound series of ``cfg``'s schedule and x0."""
+    sched = _schedule(cfg)
+    diff = _x0(cfg) - problem.optimum
+    d0_sq = float(diff @ diff)
+    f = problem.f
+    ks, bounds = discrete_bound_series(
+        sched, f.sigma, f.lipschitz, problem.alpha, problem.beta, d0_sq, k_max
+    )
+    return ks, bounds, d0_sq
+
+
+# Timeline kind -> (the flag and the schedule parameter that give its rate).
+_TIMELINE_PARAM = {"power": ("gamma", "gamma"), "exponential": ("lam", "lambda")}
+
+
 def _cmd_bounds(args):
     cfg = _load_config(args) if args.config else None
     out = _out_dir(args, cfg)
-    wrote_any = False
-    code = _EXIT_OK
     kind = args.schedule
     if kind is None and cfg is not None:
         name = cfg.schedule.get("name")
         kind = {"power": "power", "exp": "exponential"}.get(name)
-    if kind == "power":
-        gamma = args.gamma if args.gamma is not None else (
-            _schedule_param(cfg.schedule, "gamma") if cfg else None
-        )
-        if gamma is None:
-            raise ConfigError("bounds --schedule power needs --gamma")
-        table = timeline_table("power", args.lipschitz, args.alpha, args.mu0, gamma, args.k_max)
+    if kind is None and cfg is None:
+        raise ConfigError("bounds needs --schedule and/or --config")
+    if kind is not None:
+        flag, key = _TIMELINE_PARAM[kind]
+        param = getattr(args, flag)
+        if param is None and cfg is not None:
+            param = _schedule_param(cfg.schedule, key)
+        if param is None:
+            raise ConfigError(f"bounds --schedule {kind} needs --{key}")
+        table = timeline_table(kind, args.lipschitz, args.alpha, args.mu0, param, args.k_max)
         _write(os.path.join(out, "timeline_bounds.csv"), timeline_csv(table))
-        wrote_any = True
-    elif kind == "exponential":
-        lam = args.lam if args.lam is not None else (
-            _schedule_param(cfg.schedule, "lambda") if cfg else None
-        )
-        if lam is None:
-            raise ConfigError("bounds --schedule exponential needs --lambda")
-        table = timeline_table(
-            "exponential", args.lipschitz, args.alpha, args.mu0, lam, args.k_max
-        )
-        _write(os.path.join(out, "timeline_bounds.csv"), timeline_csv(table))
-        wrote_any = True
-    if cfg is not None:
-        problem = generate_problem(cfg)
-        sched = _schedule(cfg)
-        x0 = _x0(cfg)
-        diff = x0 - problem.optimum
-        d0_sq = float(diff @ diff)
-        k_max = _run_param(cfg, "max_steps", int, args.k_max)
-        ks, bounds = discrete_bound_series(
-            sched,
-            problem.f.sigma,
+    if cfg is None:
+        return _EXIT_OK
+    problem = generate_problem(cfg)
+    k_max = _run_param(cfg, "max_steps", int, args.k_max)
+    ks, bounds, d0_sq = _bound_series(cfg, problem, k_max)
+    ks_list = ks.tolist()
+    columns, row, fields = ["k", "bound"], "%d,%.17g", [ks_list, bounds.tolist()]
+    params = cfg.schedule
+    if (
+        ks_list
+        and problem.f.sigma == 0.0
+        and params.get("name") == "power"
+        and 0.0 < float(params["gamma"]) <= 1.0
+    ):
+        columns.append("closed_form_bound")
+        row += ",%.17g"
+        closed = functools.partial(
+            closed_form_bound_nonstrongly,
             problem.f.lipschitz,
             problem.alpha,
             problem.beta,
+            float(params["mu0"]),
+            float(params["gamma"]),
             d0_sq,
-            k_max,
         )
-        ks_list = ks.tolist()
-        columns, row, fields = ["k", "bound"], "%d,%.17g", [ks_list, bounds.tolist()]
-        params = cfg.schedule
-        if (
-            ks_list
-            and problem.f.sigma == 0.0
-            and params.get("name") == "power"
-            and 0.0 < float(params["gamma"]) <= 1.0
-        ):
-            columns.append("closed_form_bound")
-            row += ",%.17g"
-            closed = functools.partial(
-                closed_form_bound_nonstrongly,
-                problem.f.lipschitz,
-                problem.alpha,
-                problem.beta,
-                float(params["mu0"]),
-                float(params["gamma"]),
-                d0_sq,
-            )
-            fields.append([closed(k) for k in ks_list])
-        _write(
-            os.path.join(out, "discrete_bounds.csv"), series_csv(columns, zip(*fields), row)
-        )
-        wrote_any = True
-        code = _exhausted_code(args, ks, k_max)
-    if not wrote_any:
-        raise ConfigError("bounds needs --schedule and/or --config")
-    return code
+        fields.append([closed(k) for k in ks_list])
+    _write(os.path.join(out, "discrete_bounds.csv"), series_csv(columns, zip(*fields), row))
+    return _exhausted_code(args, ks, k_max)
 
 
 def _cmd_rate_fit(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
-    sched = _schedule(cfg)
-    x0 = _x0(cfg)
-    diff = x0 - problem.optimum
-    ks, bounds = discrete_bound_series(
-        sched,
-        problem.f.sigma,
-        problem.f.lipschitz,
-        problem.alpha,
-        problem.beta,
-        float(diff @ diff),
-        args.k_max,
-    )
+    ks, bounds, _ = _bound_series(cfg, problem, args.k_max)
     result = fit_rate(list(zip(ks, bounds)), args.model, (args.window_min, args.window_max))
-    report = {
-        "model": result.model,
-        "exponent": result.exponent,
-        "log_factor": result.log_factor,
-        "residual": result.residual,
-        "normalized_residual": result.normalized_residual,
-        "window": list(result.window),
-        "intercept": result.intercept,
-    }
     out = _out_dir(args, cfg)
     if args.format == "csv":
+        columns = ["model", "exponent", "residual", "normalized_residual"]
         _write(
             os.path.join(out, "rate_fit.csv"),
-            series_csv(
-                ["model", "exponent", "residual", "normalized_residual"],
-                [[result.model, result.exponent, result.residual, result.normalized_residual]],
-            ),
+            series_csv(columns, [operator.attrgetter(*columns)(result)], "%s,%.17g,%.17g,%.17g"),
         )
     else:
-        _write(os.path.join(out, "rate_fit.json"), json_envelope(cfg.to_dict(), report))
+        report = json_envelope(cfg.to_dict(), dataclasses.asdict(result))
+        _write(os.path.join(out, "rate_fit.json"), report)
     return _exhausted_code(args, ks, args.k_max)
 
 
 def _cmd_compare(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
-    samples, counter = _rk45_leg(cfg, problem)
-    budget = counter.count
+    samples = _rk45_leg(cfg, problem)
+    budget = samples[-1].grad_evals
     sched = _schedule(cfg)
     max_steps = _run_param(cfg, "max_steps", int, max(budget, 1))
     traj = run_sgm(problem, sched, _x0(cfg), max_steps=max_steps, grad_eval_budget=budget)
     out = _out_dir(args, cfg)
     if args.format == "csv":
+        columns = ["series", "t", "mu", "f_true", "grad_evals"]
+        get = operator.attrgetter(*columns[1:])
         rows = itertools.chain(
-            (("SGM", r.t, r.mu, r.f_true, r.grad_evals) for r in traj.records),
-            (("SGF-RK45", s.t, s.mu, s.f_true, s.grad_evals) for s in samples),
+            (("SGM", *get(r)) for r in traj.records),
+            (("SGF-RK45", *get(s)) for s in samples),
         )
         _write(
             os.path.join(out, "compare.csv"),
-            series_csv(
-                ["series", "t", "mu", "f_true", "grad_evals"], rows, "%s,%.17g,%.17g,%.17g,%d"
-            ),
+            series_csv(columns, rows, "%s,%.17g,%.17g,%.17g,%d"),
         )
     else:
         envelope = json_envelope(
             cfg.to_dict(),
             {
-                "SGM": _trajectory_records_json(traj),
-                "SGF-RK45": _flow_samples_json(samples),
+                "SGM": trajectory_json(traj),
+                "SGF-RK45": flow_json(samples),
                 "matched_grad_eval_budget": budget,
             },
         )

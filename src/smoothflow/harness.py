@@ -16,6 +16,7 @@ floats are printed with 17 significant digits.
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .approx import L1_SMOOTHERS, l1_residual
 from .errors import ConfigError
+from .flow import FlowSample
 from .problem import CompositeProblem, quadratic_least_squares
 from .rng import Xoshiro256pp
 from .schedule import (
@@ -34,13 +36,16 @@ from .schedule import (
     PowerDecay,
     ReciprocalMu,
 )
+from .solver import IterationRecord
 
 __all__ = [
     "ExperimentConfig",
     "generate_problem",
     "schedule_from_config",
     "trajectory_csv",
+    "trajectory_json",
     "flow_csv",
+    "flow_json",
     "timeline_csv",
     "series_csv",
     "json_envelope",
@@ -181,95 +186,79 @@ def schedule_from_config(params, t0=0.0):
     raise ConfigError(f"unknown schedule name {name!r}")
 
 
-def _conversion(cls):
-    """printf conversion for one CSV field of type ``cls``.
-
-    Integers print exactly, strings as they are, and everything else as
-    a float with 17 significant digits (enough to round-trip a double).
-    """
-    if issubclass(cls, str):
-        return "%s"
-    if issubclass(cls, (int, np.integer)):
-        return "%d"
-    return "%.17g"
-
-
 TRAJECTORY_COLUMNS = "k,t,s,mu,f_tilde,f_true,grad_norm,lyapunov,bound,grad_evals"
 FLOW_COLUMNS = "t,mu,f_true,lyapunov_v,bound_ct,grad_evals"
 TIMELINE_COLUMNS = "k,t_actual,t_lower,t_upper,mu_actual,mu_lower,mu_upper"
 
-# One % operation formats a whole row; the columns' types are fixed.
-_TRAJECTORY_ROW = "%d," + "%.17g," * 8 + "%d"
-_FLOW_ROW = "%.17g," * 5 + "%d"
 _TIMELINE_ROW = "%d" + ",%.17g" * 6
 
 
-def trajectory_csv(traj):
-    """Fixed-column CSV of a discrete trajectory."""
-    lines = [TRAJECTORY_COLUMNS]
-    lines.extend(
-        _TRAJECTORY_ROW
-        % (r.k, r.t, r.s, r.mu, r.f_tilde, r.f_true, r.grad_norm, r.lyapunov, r.bound, r.grad_evals)
-        for r in traj.records
-    )
+def _schema(record_type, columns):
+    """Column names, row getter and printf row of a record type's output.
+
+    ``columns`` names fields of the named tuple ``record_type`` in file
+    order. An ``int`` field prints exactly and any other as a float with
+    17 significant digits (enough to round-trip a double), so one %
+    operation formats a whole row.
+    """
+    names = columns.split(",")
+    get = operator.itemgetter(*map(record_type._fields.index, names))
+    hints = record_type.__annotations__
+    row = ",".join("%d" if hints[name] is int else "%.17g" for name in names)
+    return names, get, row
+
+
+_TRAJECTORY = _schema(IterationRecord, TRAJECTORY_COLUMNS)
+_FLOW = _schema(FlowSample, FLOW_COLUMNS)
+
+
+def _csv(header, rows, row_format):
+    # The writers below call this, not series_csv, so a tracer that wraps
+    # every public writer counts each file's time and bytes once.
+    lines = [header]
+    lines.extend(row_format % row for row in rows)
     # An empty last line gives the final newline without copying the joined text.
     lines.append("")
     return "\n".join(lines)
 
 
-def flow_csv(samples, include_x=False):
+def _records_json(schema, records):
+    names, get, _ = schema
+    return [dict(zip(names, [None if v != v else v for v in get(r)])) for r in records]
+
+
+def trajectory_csv(traj):
+    """Fixed-column CSV of a discrete trajectory."""
+    _, get, row = _TRAJECTORY
+    return _csv(TRAJECTORY_COLUMNS, map(get, traj.records), row)
+
+
+def trajectory_json(traj):
+    """JSON records of a discrete trajectory: the CSV columns as keys, NaN as null."""
+    return _records_json(_TRAJECTORY, traj.records)
+
+
+def flow_csv(samples):
     """Fixed-column CSV of adaptive-integrator samples."""
-    header = FLOW_COLUMNS
-    row = _FLOW_ROW
-    if include_x:
-        dim = samples[0].x.shape[0]
-        header = header + "," + ",".join(f"x{i}" for i in range(dim))
-        row = row + ",%.17g" * dim
-    lines = [header]
-    for s in samples:
-        fields = (s.t, s.mu, s.f_true, s.lyapunov_v, s.bound_ct, s.grad_evals)
-        if include_x:
-            fields += tuple(s.x)
-        lines.append(row % fields)
-    lines.append("")
-    return "\n".join(lines)
+    _, get, row = _FLOW
+    return _csv(FLOW_COLUMNS, map(get, samples), row)
+
+
+def flow_json(samples):
+    """JSON records of adaptive-integrator samples: the CSV columns as keys, NaN as null."""
+    return _records_json(_FLOW, samples)
 
 
 def timeline_csv(table):
     """CSV of a timeline bounds-vs-recursion table."""
-    lines = [TIMELINE_COLUMNS]
-    columns = [
-        np.asarray(table[key], dtype=float).tolist()
-        for key in ("t_actual", "t_lower", "t_upper", "mu_actual", "mu_lower", "mu_upper")
-    ]
-    ks = [int(k) for k in table["k"]]
-    lines.extend(_TIMELINE_ROW % (k, *rest) for k, *rest in zip(ks, *columns))
-    lines.append("")
-    return "\n".join(lines)
+    _, *names = TIMELINE_COLUMNS.split(",")
+    columns = [np.asarray(table[name], dtype=float).tolist() for name in names]
+    return _csv(TIMELINE_COLUMNS, zip(map(int, table["k"]), *columns), _TIMELINE_ROW)
 
 
-def series_csv(columns, rows, row_format=None):
-    """Generic CSV with a fixed column list; floats at full precision.
-
-    With ``row_format``, one printf format for every row, each row is
-    one % operation, as in ``trajectory_csv``. Otherwise each field
-    prints by its type (see ``_conversion``); a row format is built
-    once per distinct tuple of field types.
-    """
-    lines = [",".join(columns)]
-    if row_format is not None:
-        lines.extend(row_format % row for row in rows)
-        lines.append("")
-        return "\n".join(lines)
-    formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(map(_conversion, types))
-        lines.append(fmt % tuple(row))
-    lines.append("")
-    return "\n".join(lines)
+def series_csv(columns, rows, row_format):
+    """CSV of ``rows`` under the column list ``columns``, each row one printf ``row_format``."""
+    return _csv(",".join(columns), rows, row_format)
 
 
 def json_envelope(config, series):

@@ -615,6 +615,53 @@ def test_golden_path_hash(tmp_path, name):
     assert file_hash(out / artifact) == expected
 
 
+# Each record series written as CSV and as JSON:
+# (command, config, file stem, JSON series key; None for compare's two series).
+CSV_JSON_TWINS = [
+    ("solve-sgm", STRONG, "trajectory", "records"),
+    ("solve-sgf-euler", CONTINUOUS, "flow_euler", "records"),
+    ("solve-sgf-rk45", CONTINUOUS, "flow_rk45", "samples"),
+    ("compare", CONTINUOUS, "compare", None),
+]
+
+
+def same_bits(field, value):
+    """A CSV field parses to its JSON value bit for bit; CSV nan is JSON null."""
+    if field == "nan":
+        return value is None
+    if isinstance(value, int):
+        return int(field) == value
+    return isinstance(value, float) and float(field).hex() == value.hex()
+
+
+@pytest.mark.parametrize("command,payload,stem,key", CSV_JSON_TWINS)
+def test_csv_rows_read_as_json_records(tmp_path, command, payload, stem, key):
+    cfg = write_config(tmp_path, payload)
+    for fmt in ("csv", "json"):
+        assert run([command, "--config", cfg, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    text = (tmp_path / "csv" / f"{stem}.csv").read_text()
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    series = json.loads((tmp_path / "json" / f"{stem}.json").read_text())["series"]
+    if key is None:
+        # compare.csv tags each row with its series and keeps the columns
+        # both record types share; its JSON keeps whole records.
+        assert header[0] == "series"
+        header = header[1:]
+        tables = {name: [row[1:] for row in rows if row[0] == name] for name in ("SGM", "SGF-RK45")}
+        assert sum(map(len, tables.values())) == len(rows)
+    else:
+        assert "nan" in text  # the first record's bound
+        tables = {key: rows}
+    for name, table in tables.items():
+        records = series[name]
+        assert table and len(table) == len(records)
+        for row, record in zip(table, records):
+            if key is not None:
+                # The envelope sorts keys, so the file cannot show their order.
+                assert sorted(record) == sorted(header)
+            assert all(same_bits(field, record[column]) for column, field in zip(header, row))
+
+
 def test_config_x0_of_wrong_length_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SIGMA0, run={"max_steps": 40, "x0": [1.0, 2.0]}))
     assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -188,8 +188,6 @@ class TestSerialization:
         samples = integrate_rk45(p, ConstantMu(1.0), np.zeros(4), 0.0, 0.5, 1e-4, 1e-7)
         text = flow_csv(samples)
         assert text.startswith(FLOW_COLUMNS + "\n")
-        with_x = flow_csv(samples, include_x=True)
-        assert with_x.startswith(FLOW_COLUMNS + ",x0,x1,x2,x3\n")
 
     def test_timeline_csv(self):
         tab = timeline_table("power", 0.0, 1.0, 1.0, 1.0, 10)

@@ -37,7 +37,7 @@ from smoothflow import (
     smoothed_value,
     sqrt_l2_approx,
 )
-from smoothflow import approx
+from smoothflow import approx, solver
 from smoothflow.errors import InvalidParameterError
 from smoothflow.harness import ExperimentConfig, generate_problem
 
@@ -95,16 +95,20 @@ def custom_approx_problem():
 
 
 def custom_part_problem():
-    """A user SmoothPart ||x - x*||^2 with the l1 term; f has no residual."""
+    """A user SmoothPart ||x - x*||^2 with the l1 term; f has no residual.
+
+    Its points are read one by one, so a chunk holds 2**14 floats of x
+    alone: 32 records at n_x = ROWS.
+    """
     rng = np.random.default_rng(2)
-    x_star = rng.standard_normal(4)
-    c = rng.standard_normal((ROWS, 4))
+    x_star = rng.standard_normal(ROWS)
+    c = rng.standard_normal((ROWS, ROWS))
     f = SmoothPart(
         value=lambda x: float((x - x_star) @ (x - x_star)),
         grad=lambda x: 2.0 * (x - x_star),
         sigma=2.0,
         lipschitz=2.0,
-        input_dim=4,
+        input_dim=ROWS,
     )
     return CompositeProblem(f=f, h=l1_residual(c, c @ x_star, "sqrt_l2"), optimum=x_star)
 
@@ -144,7 +148,11 @@ STACKED_ROWS = {
 
 
 def chunk_records(problem):
-    return 2**14 // (problem.input_dim + ROWS)
+    """Records in one chunk of ``problem``'s runs, sized as ``solver._Chunk`` sizes it."""
+    from smoothflow.problem import _ValueChunk
+
+    point = problem.point(np.ones(problem.input_dim))
+    return solver._CHUNK_FLOATS // (problem.input_dim + _ValueChunk.row_floats(point))
 
 
 def assert_python_floats(*values):
