@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import kahan_cumsum
 from .errors import InvalidParameterError, InvalidSeriesError, ScheduleExhaustedError
 from .schedule import advance, initial_state
-from .solver import bound_discrete
+from .solver import _gap_bound
 
 
 class TimelineBounds(NamedTuple):
@@ -173,19 +173,29 @@ def discrete_bound_series(sched, sigma, lipschitz, alpha, beta, x0_dist_sq, k_ma
 
     The bound depends only on the schedule recursion (not on iterates),
     so rate statements about it can be checked without running the
-    method. Truncates at schedule exhaustion.
+    method. Truncates at schedule exhaustion. The recursion keeps only
+    the three scaled sums of each state, and the bounds are formed in
+    one array expression through ``bound_discrete``'s kernel, as
+    ``run_sgm`` forms them per chunk, so each equals
+    ``bound_discrete`` at its state bit for bit.
     """
     state = initial_state(sched, lipschitz, alpha)
-    ks = []
-    bounds = []
+    ks, inv_eta, scaled_mu_s, scaled_s = [], [], [], []
     for k in range(1, k_max + 1):
         try:
             state = advance(sched, state, sigma, lipschitz, alpha)
         except ScheduleExhaustedError:
             break
         ks.append(k)
-        bounds.append(bound_discrete(state, x0_dist_sq, beta))
-    return np.array(ks), np.array(bounds)
+        inv_eta.append(state.inv_eta)
+        scaled_mu_s.append(state.scaled_sum_eta_mu_s)
+        scaled_s.append(state.scaled_sum_eta_s)
+    # As in float arithmetic, an overflow to inf is silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _gap_bound(
+            x0_dist_sq, beta, np.array(inv_eta), np.array(scaled_mu_s), np.array(scaled_s)
+        )
+    return np.array(ks), bounds
 
 
 @dataclass(frozen=True)

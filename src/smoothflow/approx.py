@@ -155,9 +155,11 @@ def _huber_coeff(r, mu, out=None):
     # clip(r/mu, -1, 1) is bit for bit where(|r| <= mu, r/mu, sign(r)):
     # division rounds monotonically and gives exactly +-1 at |r| = mu,
     # so r/mu lies beyond +-1 exactly where |r| > mu, and +-0, +-inf and
-    # NaN map alike.
+    # NaN map alike. The clip is formed as min(max(r/mu, -1), 1), two
+    # ufuncs: ndarray.clip gives the same bits (both keep +-0 and
+    # propagate NaN) but enters numpy's Python wrapper on every call.
     coeff = np.divide(r, mu, out=out)
-    return coeff.clip(-1.0, 1.0, out=coeff)
+    return np.minimum(np.maximum(coeff, -1.0, out=coeff), 1.0, out=coeff)
 
 
 def _huber_smoothed(r, mu):
@@ -184,7 +186,7 @@ _L1_HUBER = _Kernel(
     exact=_L1_SQRT.exact,
     coeff=_huber_coeff,
     grad_mu=_huber_grad_mu,
-    gap=lambda r, mu: np.min(np.abs(np.abs(r) - mu), axis=-1),
+    gap=lambda r, mu: np.minimum.reduce(np.abs(np.abs(r) - mu), axis=-1),
 )
 
 
@@ -215,7 +217,7 @@ _L2_HUBER = _l2(_L1_HUBER, np.maximum)
 
 def _softmax_parts(r, mu):
     """Each row's maximum m, the weights exp((r - m)/mu) and their sum, as columns."""
-    m = np.max(r, axis=-1, keepdims=True)
+    m = np.maximum.reduce(r, axis=-1, keepdims=True)
     w = np.exp((r - m) / mu)
     return m, w, np.add.reduce(w, axis=-1, keepdims=True)
 
@@ -244,7 +246,7 @@ def _lse_grad_mu(r, mu):
 # the spread of r.
 _LSE_MAX = _Kernel(
     smoothed=_lse_smoothed,
-    exact=lambda r: np.max(r, axis=-1),
+    exact=lambda r: np.maximum.reduce(r, axis=-1),
     coeff=_lse_coeff,
     grad_mu=_lse_grad_mu,
     gap=_smooth_everywhere,

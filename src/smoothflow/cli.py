@@ -36,6 +36,7 @@ from .errors import (
 from .flow import integrate_euler, integrate_rk45
 from .harness import (
     ExperimentConfig,
+    _integer,
     _schedule_param,
     flow_csv,
     flow_json,
@@ -125,11 +126,12 @@ def _write(path, text):
 def _run_param(cfg, name, kind, default):
     """``run.<name>`` of the config as ``kind`` (int or float), ``default`` when absent."""
     raw = cfg.run.get(name, default)
+    if kind is int:
+        return _integer(raw, f"run.{name}")
     try:
-        return kind(raw)
+        return float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"run.{name} must be {what}, got {raw!r}") from exc
+        raise ConfigError(f"run.{name} must be a number, got {raw!r}") from exc
 
 
 def _x0(cfg):

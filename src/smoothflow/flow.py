@@ -32,7 +32,7 @@ from .schedule import (
     _exp_or_inf,
     _expm1_or_inf,
 )
-from .solver import _Chunk, _lyapunov, run_sgm
+from .solver import _Chunk, _lyapunov, _records, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
 # property. The last row of a is b5 without its zero weight, so the
@@ -236,7 +236,7 @@ def integrate_rk45(
     the bound, with its chord recursion, is advanced per sample.
 
     The stage matrix holds ``+grad F``, so a stage state is
-    ``x - h * (a_i @ K)``: the negation the right-hand side would carry
+    ``x - h * a_i.dot(K)``: the negation the right-hand side would carry
     is exact, and the error estimate is only squared. Finiteness of the
     stage gradients is tested once per attempt, after its six stages: a
     failing attempt's remaining stages are still evaluated and charged
@@ -311,7 +311,7 @@ def integrate_rk45(
         xs, t, mu, weight, integral, bnd, evals = zip(*pending)
 
         def build(f_tilde, f_true, lyap):
-            return map(FlowSample, t, xs, mu, f_true, lyap, bnd, evals)
+            return _records(FlowSample, t, xs, mu, f_true, lyap, bnd, evals)
 
         return np.array(mu), np.array(weight), np.array(integral), build
 
@@ -349,10 +349,10 @@ def integrate_rk45(
             if h_try < min_step:
                 raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
             for c, a, k_prev, i in stages:
-                point = point.move(x - h_try * (a @ k_prev))
+                point = point.move(x - h_try * a.dot(k_prev))
                 k_mat[i] = grad_at(t + c * h_try, point)
             # Without this test a NaN stage only shrinks h until it underflows.
-            if not np.isfinite(k_mat).all():
+            if not np.logical_and.reduce(np.isfinite(k_mat), axis=None):
                 i = int(np.isfinite(k_mat).all(axis=1).argmin())
                 raise NumericalDivergenceError(
                     accepted, f"non-finite right-hand side at t = {t + _DP_C[i] * h_try}"
@@ -360,7 +360,7 @@ def integrate_rk45(
             # The last stage's point is the 5th-order solution; q is the
             # scaled error estimate up to sign.
             abs_new = np.abs(point.x)
-            q = h_try * (_DP_ERR @ k_mat)
+            q = h_try * _DP_ERR.dot(k_mat)
             q /= atol + rtol * np.maximum(abs_x, abs_new)
             err = math.sqrt(np.add.reduce(q * q) / n)
             if err <= 1.0:

@@ -51,6 +51,20 @@ __all__ = [
     "json_envelope",
 ]
 
+
+def _integer(raw, name):
+    """``raw`` as an int; a ``ConfigError`` naming ``name`` unless it is an integral number.
+
+    A bool or a number with a fractional part is refused, not truncated.
+    """
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Deserialized experiment description (see README for the schema)."""
@@ -65,9 +79,11 @@ class ExperimentConfig:
     outputs: Optional[str] = None
 
     def __post_init__(self):
+        for name, key in (("n_x", "n_x"), ("n_a", "n_A"), ("n_c", "n_C"), ("rng_seed", "rng_seed")):
+            setattr(self, name, _integer(getattr(self, name), f"problem.{key}"))
         if min(self.n_x, self.n_a, self.n_c) < 1:
             raise ConfigError("n_x, n_A and n_C must all be >= 1")
-        if not (0 <= int(self.rng_seed) < 2**64):
+        if not (0 <= self.rng_seed < 2**64):
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
         if self.smoothing not in L1_SMOOTHERS:
             raise ConfigError(
@@ -79,10 +95,10 @@ class ExperimentConfig:
         try:
             prob = raw["problem"]
             return cls(
-                n_x=int(prob["n_x"]),
-                n_a=int(prob["n_A"]),
-                n_c=int(prob["n_C"]),
-                rng_seed=int(prob["rng_seed"]),
+                n_x=prob["n_x"],
+                n_a=prob["n_A"],
+                n_c=prob["n_C"],
+                rng_seed=prob["rng_seed"],
                 smoothing=raw.get("smoothing", "sqrt_l2"),
                 schedule=dict(raw.get("schedule", {"name": "power", "mu0": 1.0, "gamma": 0.5})),
                 run=dict(raw.get("run", {})),

@@ -328,10 +328,10 @@ class CompositePoint:
             raise DimensionMismatchError(
                 f"expected input of shape {stacked.m.shape[1:]}, got {x.shape}"
             )
-        # np.dot with a positional out runs the BLAS gemv of np.matmul,
-        # bit for bit, with less call overhead.
+        # ndarray.dot with a positional out runs the BLAS gemv of np.matmul,
+        # bit for bit, without np.dot's dispatch layer or matmul's set-up.
         r = self._r
-        np.dot(stacked.m, x, r)
+        stacked.m.dot(x, r)
         np.subtract(r, stacked.e, r)
         self.x = x
         return self
@@ -350,7 +350,7 @@ class CompositePoint:
             np.add(r_a, r_a, self._w_a)  # 2 r_A, exactly
             if stacked.kernel is not None:
                 stacked.kernel.coeff(self._r_c, mu, self._w_c)
-            return np.dot(stacked.mt, self._w)
+            return stacked.mt.dot(self._w)
         if self._h is None:
             return self._f.grad()
         return self._f.grad() + self._h.grad(mu)

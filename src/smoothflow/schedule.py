@@ -301,7 +301,9 @@ class ScheduleState(NamedTuple):
     (u = 2**-53): N_k shrink + s_k loses at most 2 u, D_k shrink gains
     at most u, and the two quotients round by u each.
 
-    An immutable named tuple: ``_replace`` makes a modified copy.
+    An immutable named tuple: ``_replace`` makes a modified copy. The
+    recursion builds each state with ``tuple.__new__``, the same tuple
+    the generated ``__new__`` makes, at half its cost.
     """
 
     k: int
@@ -342,7 +344,9 @@ def initial_state(sched, lipschitz, alpha):
     mu0 = sched.mu_at(0, t0)
     if not (mu0 > MU_FLOOR):
         raise ScheduleExhaustedError(f"initial smoothing parameter {mu0} is not positive")
-    return ScheduleState(0, t0, mu0, step_size(lipschitz, alpha, mu0), 0.0, 0.0, 0.0, 1.0)
+    return tuple.__new__(
+        ScheduleState, (0, t0, mu0, step_size(lipschitz, alpha, mu0), 0.0, 0.0, 0.0, 1.0)
+    )
 
 
 def advance(sched, state, sigma, lipschitz, alpha):
@@ -370,15 +374,18 @@ def advance(sched, state, sigma, lipschitz, alpha):
         raise ScheduleExhaustedError(
             f"smoothing parameter exhausted at k={k_next}, t={t_next!r} (mu={mu_next!r})"
         )
-    return ScheduleState(
-        k_next,
-        t_next,
-        float(mu_next),
-        step_size(lipschitz, alpha, mu_next),
-        state.sum_s + s_k,
-        state.scaled_sum_eta_s * shrink + s_k,
-        state.scaled_sum_eta_mu_s * shrink + mu_k * s_k,
-        state.inv_eta * shrink,
+    return tuple.__new__(
+        ScheduleState,
+        (
+            k_next,
+            t_next,
+            float(mu_next),
+            step_size(lipschitz, alpha, mu_next),
+            state.sum_s + s_k,
+            state.scaled_sum_eta_s * shrink + s_k,
+            state.scaled_sum_eta_mu_s * shrink + mu_k * s_k,
+            state.inv_eta * shrink,
+        ),
     )
 
 

@@ -9,6 +9,7 @@ from smoothflow import (
     PowerDecay,
     ReciprocalMu,
     advance,
+    bound_discrete,
     discrete_bound_series,
     fit_rate,
     initial_state,
@@ -17,7 +18,7 @@ from smoothflow import (
     timeline_table,
 )
 from smoothflow.analysis import exponential_time_recursion, power_time_recursion
-from smoothflow.errors import InvalidParameterError, InvalidSeriesError
+from smoothflow.errors import InvalidParameterError, InvalidSeriesError, ScheduleExhaustedError
 
 SLACK = 1e-12
 
@@ -236,3 +237,35 @@ class TestBoundSeriesRates:
 
         val = bound_discrete(state, 2.0, beta)
         assert val == pytest.approx(beta * state.mu, rel=0.15)
+
+
+@pytest.mark.parametrize(
+    "sched,sigma",
+    [
+        (PowerDecay(mu0=1.0, gamma=0.5), 0.0),
+        (PowerDecay(mu0=2.0, gamma=0.75), 0.3),
+        (ExpDecay(mu0=1.0, lam=0.5), 0.1),  # exhausts near k = 1074
+        (ContinuousDriven(ReciprocalMu(1.0, 1.0, t0=1.0), t0=1.0), 2.0),
+    ],
+)
+def test_bound_series_equals_bound_discrete_per_state(sched, sigma):
+    # The series forms every bound in one array expression; the loop over
+    # bound_discrete is the reference, bit for bit, truncation included.
+    lipschitz, alpha, beta, x0_dist_sq = 4.0, 1.0, 1.5, 2.0
+    ks, bounds = discrete_bound_series(sched, sigma, lipschitz, alpha, beta, x0_dist_sq, 3000)
+    state = initial_state(sched, lipschitz, alpha)
+    expected = []
+    for _ in range(3000):
+        try:
+            state = advance(sched, state, sigma, lipschitz, alpha)
+        except ScheduleExhaustedError:
+            break
+        expected.append(bound_discrete(state, x0_dist_sq, beta))
+    assert ks.dtype.kind == "i" and bounds.dtype == np.float64
+    assert ks.tolist() == list(range(1, len(expected) + 1))
+    assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in expected]
+
+
+def test_bound_series_is_empty_when_the_schedule_exhausts_at_once():
+    ks, bounds = discrete_bound_series(ExpDecay(mu0=1e-299, lam=0.01), 0.0, 0.0, 1.0, 1.0, 2.0, 50)
+    assert ks.size == 0 and bounds.size == 0 and bounds.dtype == np.float64

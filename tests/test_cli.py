@@ -662,6 +662,39 @@ def test_csv_rows_read_as_json_records(tmp_path, command, payload, stem, key):
             assert all(same_bits(field, record[column]) for column, field in zip(header, row))
 
 
+def csv_column(path, column):
+    """{k: field} of one column of a CSV with a ``k`` column, the fields as written."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    k, i = header.index("k"), header.index(column)
+    return {int(row[k]): row[i] for row in rows}
+
+
+BOUND_CONFIGS = {
+    "power": STRONG,
+    "exp": dict(STRONG, schedule={"name": "exp", "mu0": 1.0, "lambda": 0.99}),
+    "exp-exhausting": EXHAUSTING,
+    "continuous-reciprocal": dict(
+        STRONG,
+        schedule={"name": "continuous-reciprocal", "mu0": 1.0, "p": 1.0, "t0": 1.0},
+        run={"max_steps": 300},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CONFIGS))
+def test_discrete_bounds_match_trajectory_bounds(tmp_path, name):
+    # The bound series and the run form the bound from the same schedule
+    # states, so every k >= 1 of the run reads the same printed field.
+    cfg = write_config(tmp_path, BOUND_CONFIGS[name])
+    for command in ("solve-sgm", "bounds"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    series = csv_column(tmp_path / "discrete_bounds.csv", "bound")
+    trajectory = csv_column(tmp_path / "trajectory.csv", "bound")
+    assert trajectory.pop(0) == "nan"
+    assert len(series) > 30
+    assert series == trajectory
+
+
 def test_config_x0_of_wrong_length_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SIGMA0, run={"max_steps": 40, "x0": [1.0, 2.0]}))
     assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -682,6 +715,18 @@ MALFORMED_VALUES = [
     ("compare", CONTINUOUS, "run", "max_steps", "many"),
     ("bounds", STRONG, "run", "max_steps", "many"),
     ("bounds", STRONG, "schedule", "gamma", "x"),
+    # Integer fields take integral numbers only: no silent truncation.
+    ("generate", STRONG, "problem", "n_x", 3.7),
+    ("generate", STRONG, "problem", "n_x", True),
+    ("generate", STRONG, "problem", "n_A", 9.5),
+    ("generate", STRONG, "problem", "n_C", True),
+    ("generate", STRONG, "problem", "rng_seed", 1.9),
+    ("solve-sgm", STRONG, "run", "max_steps", 2.5),
+    ("solve-sgm", STRONG, "run", "max_steps", True),
+    ("solve-sgm", STRONG, "run", "record_stride", 1.9),
+    ("solve-sgf-euler", CONTINUOUS, "run", "max_steps", 40.5),
+    ("compare", CONTINUOUS, "run", "max_steps", 1e400),
+    ("bounds", STRONG, "run", "max_steps", 2.5),
 ]
 
 
@@ -697,6 +742,27 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, base,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert key in err.splitlines()[0]
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    # 6.0 is an integer written as a float; the run and its echo match 6's.
+    as_floats = dict(
+        STRONG,
+        problem=dict(STRONG["problem"], n_x=6.0, rng_seed=777.0),
+        run={"max_steps": 40.0, "record_stride": 1.0},
+    )
+    for name, payload in (("int", STRONG), ("float", as_floats)):
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        out = str(tmp_path / name)
+        assert run(["solve-sgm", "--config", cfg, "--out", out, "--format", "json"]) == 0
+    ints, floats = (
+        json.loads((tmp_path / name / "trajectory.json").read_text()) for name in ("int", "float")
+    )
+    assert floats["series"] == ints["series"]
+    echoed = floats["config"]["problem"]
+    assert {key: repr(value) for key, value in echoed.items()} == {
+        key: repr(value) for key, value in STRONG["problem"].items()
+    }
 
 
 def test_back_to_back_calls_match_separate_calls(tmp_path, capsys):
