@@ -37,6 +37,7 @@ from .flow import integrate_euler, integrate_rk45
 from .harness import (
     ExperimentConfig,
     _integer,
+    _number,
     _schedule_param,
     flow_csv,
     flow_json,
@@ -126,18 +127,16 @@ def _write(path, text):
 def _run_param(cfg, name, kind, default):
     """``run.<name>`` of the config as ``kind`` (int or float), ``default`` when absent."""
     raw = cfg.run.get(name, default)
-    if kind is int:
-        return _integer(raw, f"run.{name}")
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"run.{name} must be a number, got {raw!r}") from exc
+    read = _integer if kind is int else _number
+    return read(raw, f"run.{name}")
 
 
 def _x0(cfg):
     raw = cfg.run.get("x0")
     if raw is None:
         return np.zeros(cfg.n_x)
+    if isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+        raise ConfigError(f"run.x0 must be a list of numbers, got {raw!r}")
     try:
         x0 = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -304,7 +303,7 @@ def _cmd_bounds(args):
         ks_list
         and problem.f.sigma == 0.0
         and params.get("name") == "power"
-        and 0.0 < float(params["gamma"]) <= 1.0
+        and 0.0 < _schedule_param(params, "gamma") <= 1.0
     ):
         columns.append("closed_form_bound")
         row += ",%.17g"
@@ -313,8 +312,8 @@ def _cmd_bounds(args):
             problem.f.lipschitz,
             problem.alpha,
             problem.beta,
-            float(params["mu0"]),
-            float(params["gamma"]),
+            _schedule_param(params, "mu0"),
+            _schedule_param(params, "gamma"),
             d0_sq,
         )
         fields.append([closed(k) for k in ks_list])

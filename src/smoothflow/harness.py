@@ -65,6 +65,19 @@ def _integer(raw, name):
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
 
 
+def _number(raw, name):
+    """``raw`` as a float; a ``ConfigError`` naming ``name`` unless it is a number.
+
+    A bool is refused, not read as 0 or 1.
+    """
+    if isinstance(raw, bool):
+        raise ConfigError(f"{name} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Deserialized experiment description (see README for the schema)."""
@@ -159,15 +172,10 @@ def generate_problem(cfg):
 
 def _schedule_param(params, key):
     """``params[key]`` of a schedule map as a float; a ``ConfigError`` naming it otherwise."""
-    try:
-        return float(params[key])
-    except KeyError as exc:
-        raise ConfigError(f"schedule {params.get('name')!r} is missing parameter {key!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"schedule {params.get('name')!r} parameter {key!r} must be a number, "
-            f"got {params[key]!r}"
-        ) from exc
+    name = params.get("name")
+    if key not in params:
+        raise ConfigError(f"schedule {name!r} is missing parameter {key!r}")
+    return _number(params[key], f"schedule {name!r} parameter {key!r}")
 
 
 def schedule_from_config(params, t0=0.0):

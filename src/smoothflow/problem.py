@@ -275,11 +275,11 @@ class CompositePoint:
     ``M^T w``, with ``w = [2 r_A; coeff(r_C, mu)]``; its last bits
     depend on how BLAS blocks the rows of ``M``, so they may differ from
     ``f.grad + h.grad_x``, which sum two products. The values sum the
-    rows of ``r`` with the kernels ``_ValueChunk`` runs on a chunk of
-    points. Any other problem (a user ``SmoothPart`` or ``SmoothApprox``
-    subclass, or ``affine_sum``) reads its parts' own points: the residuals
-    inside them are formed when the point is built, and ``move`` builds
-    a fresh point.
+    rows of ``r`` with the kernels a run's monitors (``solver._Chunk``)
+    run on a chunk of rows. Any other problem (a user ``SmoothPart`` or
+    ``SmoothApprox`` subclass, or ``affine_sum``) reads its parts' own
+    points: the residuals inside them are formed when the point is
+    built, and ``move`` builds a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
@@ -318,7 +318,8 @@ class CompositePoint:
         Every stacked residual is formed here, a new point's first too.
         A gradient returned before the move stays the caller's own
         array; values read after it are at ``x``. Any other problem gets
-        a fresh point, since a ``_ValueChunk`` keeps those.
+        a fresh point, since a run's monitors (``solver._Chunk``) keep
+        those.
         """
         stacked = self._stacked
         if stacked is None:
@@ -371,77 +372,6 @@ class CompositePoint:
         if self._h is None:
             return float(self._f_value())
         return float(self._f_value() + self._h.exact())
-
-
-class _ValueChunk:
-    """F(x, mu) and F(x) at up to ``cap`` points of one problem, read together.
-
-    On a stacked problem ``add`` copies the point's residual row into a
-    buffer allocated once and keeps nothing else of it, so the point may
-    move on, and ``values`` makes one pass over the rows. Each sum is one
-    ``np.add.reduce`` over a row, the kernel the points' own ``smoothed``
-    and ``exact`` run on their one row, so every value equals the
-    single-point one bit for bit. Otherwise the points are kept and read
-    one at a time.
-    """
-
-    __slots__ = ("_stacked", "_rows", "_points", "_n")
-
-    def __init__(self, point, cap):
-        self._stacked = point._stacked
-        self._rows = None if self._stacked is None else np.empty((cap, point._r.size))
-        self._points = []
-        self._n = 0
-
-    @staticmethod
-    def row_floats(point):
-        """Floats in the residual row that ``add`` copies from ``point`` (0 when it keeps it)."""
-        return 0 if point._stacked is None else point._r.size
-
-    def add(self, point):
-        if self._rows is None:
-            self._points.append(point)
-        else:
-            self._rows[self._n] = point._r
-        self._n += 1
-
-    def mu_free_value(self):
-        """F(x, mu) of the first added point as a float when it is F(x) at every mu, else None.
-
-        That holds on a stacked problem whose h rows are exactly 0 at the
-        point, as at x* of every generated problem: every built-in kernel
-        reads exactly 0 on a zero residual, for example hypot(0, mu) - mu
-        or 0 * 0 / (2 mu), at every finite mu > 0, so F(x, mu) = f(x) + 0
-        = F(x) bit for bit.
-        """
-        if self._rows is None:
-            return None
-        row = self._rows[0]
-        if row[self._stacked.n_a :].any():
-            return None
-        return float(self._stacked.exact(row))
-
-    def values(self, mu):
-        """F(x, mu) and F(x) at the added points, as arrays.
-
-        ``mu`` is an array with one entry per point; a single added point
-        is read at every entry (F(x*, mu) along a run).
-        """
-        if self._rows is None:
-            points = self._points * len(mu) if self._n == 1 else self._points
-            return (
-                np.array([p.smoothed(m) for p, m in zip(points, mu.tolist())]),
-                np.array([p.exact() for p in self._points]),
-            )
-        for bad in mu[~(mu > 0.0)][:1]:
-            _check_mu(float(bad))
-        rows = self._rows[: self._n]
-        smoothed = self._stacked.smoothed(rows, mu[:, None])
-        return np.broadcast_to(smoothed, mu.shape), self._stacked.exact(rows)
-
-    def clear(self):
-        self._points = []
-        self._n = 0
 
 
 def smoothed_value(problem, x, mu):

@@ -19,8 +19,8 @@ block's state, all lanes step together on numpy arrays, and their words
 laid end to end are the scalar stream word for word. The polar method
 then runs over the block's consecutive word pairs, with the same IEEE
 operations and libm's ``log``. The draws, their order, the state after
-the call and the cached spare are bit for bit those of repeated
-``normal()`` calls.
+the call and the cached spare are bit for bit those of drawing the
+same normals one at a time.
 """
 
 import functools
@@ -213,28 +213,16 @@ class Xoshiro256pp:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def normal(self):
-        """Standard normal via Marsaglia's polar method."""
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                break
-        f = math.sqrt(-2.0 * math.log(s) / s)
-        self._spare = v * f
-        return u * f
+        """One standard normal: the next draw of ``normals``."""
+        return float(self.normals(1)[0])
 
     def normals(self, shape):
         """Array of standard normals, filled in C (row-major) order.
 
-        The same draws as repeated ``normal()`` calls, the cached spare
+        The same draws as one call per normal, the cached spare
         included. From ``_LANE_CROSSOVER`` normals on they are drawn as
-        lanes (see the module docstring); below it ``next_u64`` and
-        ``uniform`` are inlined on local state words.
+        lanes (see the module docstring); below it the polar method runs
+        with ``next_u64`` and ``uniform`` inlined on local state words.
         """
         n = math.prod(shape) if isinstance(shape, (tuple, list)) else operator.index(shape)
         out = np.empty(n)

@@ -29,6 +29,15 @@ from .errors import InvalidParameterError, ScheduleExhaustedError
 # treated as ill-posed rather than silently clamped.
 MU_FLOOR = 1e-300
 
+
+def _check_params(t0=0.0, **positive):
+    """Refuse, by name, a ``positive`` parameter not finite and > 0, or a non-finite ``t0``."""
+    for name, value in positive.items():
+        if not 0.0 < value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    if not math.isfinite(t0):
+        raise InvalidParameterError(f"t0 must be finite, got {t0}")
+
 def _exp_or_inf(log_value):
     """exp(log_value), or inf once the value is past the double range."""
     try:
@@ -69,10 +78,7 @@ class PowerDecay:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu0 > 0.0):
-            raise InvalidParameterError("mu0 must be > 0")
-        if not (self.gamma > 0.0):
-            raise InvalidParameterError("gamma must be > 0")
+        _check_params(self.t0, mu0=self.mu0, gamma=self.gamma)
 
     def mu_at(self, k, t):
         return self.mu0 * float(k + 1) ** (-self.gamma)
@@ -90,8 +96,7 @@ class ExpDecay:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu0 > 0.0):
-            raise InvalidParameterError("mu0 must be > 0")
+        _check_params(self.t0, mu0=self.mu0)
         if not (0.0 < self.lam < 1.0):
             raise InvalidParameterError("lam must be in (0, 1)")
 
@@ -114,6 +119,9 @@ class ContinuousDriven:
     mu_of_t: Callable[[float], float]
     t0: float = 0.0
 
+    def __post_init__(self):
+        _check_params(self.t0)
+
     def mu_at(self, k, t):
         return float(self.mu_of_t(t))
 
@@ -131,8 +139,7 @@ class LinearMu:
     """
 
     def __init__(self, mu0, rate, t0=0.0):
-        if not (mu0 > 0.0 and rate > 0.0):
-            raise InvalidParameterError("mu0 and rate must be > 0")
+        _check_params(t0, mu0=mu0, rate=rate)
         self.mu0 = mu0
         self.rate = rate
         self.t0 = t0
@@ -189,8 +196,7 @@ class ExponentialMu:
     """mu(t) = mu0 * exp(-gamma*(t - t0)); positive for all t."""
 
     def __init__(self, mu0, gamma, t0=0.0):
-        if not (mu0 > 0.0 and gamma > 0.0):
-            raise InvalidParameterError("mu0 and gamma must be > 0")
+        _check_params(t0, mu0=mu0, gamma=gamma)
         self.mu0 = mu0
         self.gamma = gamma
         self.t0 = t0
@@ -227,8 +233,7 @@ class ReciprocalMu:
     """mu(t) = mu0 * (1 + (t - t0))**(-p); positive for all t >= t0."""
 
     def __init__(self, mu0, power, t0=0.0):
-        if not (mu0 > 0.0 and power > 0.0):
-            raise InvalidParameterError("mu0 and power must be > 0")
+        _check_params(t0, mu0=mu0, power=power)
         self.mu0 = mu0
         self.power = power
         self.t0 = t0
@@ -256,8 +261,7 @@ class ConstantMu:
     used by the continuous bound's closed form and in tests."""
 
     def __init__(self, mu0):
-        if not (mu0 > 0.0):
-            raise InvalidParameterError("mu0 must be > 0")
+        _check_params(mu0=mu0)
         self.mu0 = mu0
 
     def __call__(self, t):

@@ -13,6 +13,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from .approx import _check_mu
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -20,7 +21,7 @@ from .errors import (
     ScheduleExhaustedError,
     UndefinedBoundError,
 )
-from .problem import GradEvalCounter, _ValueChunk, smoothed_grad, smoothed_value
+from .problem import GradEvalCounter, smoothed_grad, smoothed_value
 from .schedule import _times_eta, advance, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
@@ -123,49 +124,60 @@ _CHUNK_FLOATS = 1 << 14
 class _Chunk:
     """Recorded points of one run, evaluated a bounded chunk at a time.
 
-    ``add(point, *entry)`` stacks one recorded point's x and residual
-    rows into buffers allocated once per run and queues
-    ``(point.x, *entry)``. ``flush`` hands the queued entries to
+    ``add(point, *entry)`` copies the point's x row and, on a stacked
+    problem, its residual row into buffers allocated once per run, so
+    the point may move on (any other problem's points are kept), and
+    queues ``(point.x, *entry)``. ``flush`` hands the queued entries to
     ``columns``, which returns the chunk's mu, the certificate's weight
     and integral (unused when the optimum is unknown), each an array
     with one entry per record, and ``build(f_tilde, f_true, lyapunov)``,
-    which makes the chunk's records in order from lists of those
-    values. ``flush`` reads F(x, mu) and F(x) of the stacked points in
-    one pass (``_ValueChunk``) and the Lyapunov values in one
-    ``_lyapunov`` call. F(x*, mu) is read once per run when it is F(x*)
-    at every mu (``_ValueChunk.mu_free_value``), and otherwise in one
-    more pass per chunk, x*'s rows broadcast against the chunk's mu.
-    Each value equals its single-point function's bit for bit. A run
-    flushes once more at its end.
+    which makes the chunk's records in order from lists of those values.
+    ``flush`` reads F(x, mu) and F(x) in one pass over the rows
+    (``_Stacked.smoothed`` and ``exact``, whose sums are one
+    ``np.add.reduce`` per row, as for a point alone) and the Lyapunov
+    values in one ``_lyapunov`` call, so each value equals its
+    single-point function's bit for bit. F(x*, mu) is one float per run
+    when x*'s h rows are exactly 0, as at x* of every generated problem:
+    every built-in kernel reads exactly 0 on a zero residual (for
+    example hypot(0, mu) - mu) at every finite mu > 0, so F(x*, mu) =
+    F(x*). Otherwise each flush reads x*'s row against the chunk's mu
+    column. A run flushes once more at its end.
     """
 
     __slots__ = (
-        "records", "_columns", "_beta", "_opt", "_opt_values", "_opt_value", "_values", "_x",
-        "_pending", "_cap",
+        "records", "_columns", "_stacked", "_beta", "_opt", "_opt_point", "_opt_value", "_x",
+        "_rows", "_points", "_pending", "_cap",
     )
 
     def __init__(self, problem, first_point, columns):
         self.records = []
         self._columns = columns
+        stacked = self._stacked = problem._stacked
         self._beta = problem.beta
         self._opt = problem.optimum
         if self._opt is not None:
-            opt = problem.point(self._opt)
-            self._opt_values = _ValueChunk(opt, 1)
-            self._opt_values.add(opt)
-            self._opt_value = self._opt_values.mu_free_value()
+            opt = self._opt_point = problem.point(self._opt)
+            self._opt_value = None
+            if stacked is not None and not opt._r[stacked.n_a :].any():
+                self._opt_value = float(stacked.exact(opt._r))
         n = first_point.x.size
-        self._cap = max(1, _CHUNK_FLOATS // (n + _ValueChunk.row_floats(first_point)))
-        self._values = _ValueChunk(first_point, self._cap)
+        row = 0 if stacked is None else first_point._r.size
+        self._cap = max(1, _CHUNK_FLOATS // (n + row))
         self._x = np.empty((self._cap, n))
+        self._rows = None if stacked is None else np.empty((self._cap, row))
+        self._points = []
         self._pending = []
 
     def add(self, point, *entry):
         pending = self._pending
-        self._x[len(pending)] = point.x
-        self._values.add(point)
+        i = len(pending)
+        self._x[i] = point.x
+        if self._rows is None:
+            self._points.append(point)
+        else:
+            self._rows[i] = point._r
         pending.append((point.x, *entry))
-        if len(pending) == self._cap:
+        if i + 1 == self._cap:
             self.flush()
 
     def flush(self):
@@ -174,18 +186,32 @@ class _Chunk:
             return
         n = len(pending)
         mu, weight, integral, build = self._columns(pending)
-        f_tilde, f_true = self._values.values(mu)
+        stacked = self._stacked
+        if stacked is None:
+            points = self._points
+            f_tilde = np.array([p.smoothed(m) for p, m in zip(points, mu.tolist())])
+            f_true = np.array([p.exact() for p in points])
+        else:
+            for bad in mu[~(mu > 0.0)][:1]:
+                _check_mu(float(bad))
+            rows = self._rows[:n]
+            f_tilde = stacked.smoothed(rows, mu[:, None])
+            f_true = stacked.exact(rows)
         if self._opt is None:
             lyap = [math.nan] * n
         else:
             f_tilde_opt = self._opt_value
             if f_tilde_opt is None:
-                f_tilde_opt = self._opt_values.values(mu)[0]
+                opt = self._opt_point
+                if stacked is None:
+                    f_tilde_opt = np.array([opt.smoothed(m) for m in mu.tolist()])
+                else:
+                    f_tilde_opt = stacked.smoothed(opt._r[None], mu[:, None])
             lyap = _lyapunov(
                 self._x[:n], self._opt, weight, integral, f_tilde, self._beta, mu, f_tilde_opt
             ).tolist()
         self.records.extend(build(f_tilde.tolist(), f_true.tolist(), lyap))
-        self._values.clear()
+        self._points = []
         self._pending = []
 
 

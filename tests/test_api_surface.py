@@ -1,0 +1,125 @@
+"""The public API: exported names and the shape of each exported callable.
+
+README's quick start imports from ``smoothflow`` and ``smoothflow.harness``;
+these goldens pin what those two modules export and, for each export, its
+parameters' names, kinds and defaults (the signature without annotations,
+defaults as their ``repr``). The file formats are pinned by the golden
+hashes of ``test_cli.py``; this pins the calls that produce them. A change
+here is a change to the API and should be deliberate.
+"""
+
+import inspect
+
+import pytest
+
+import smoothflow
+import smoothflow.harness
+
+PACKAGE_API = {
+    "AffineTerm": "(weight, matrix, offset, inner)",
+    "CertificationReport": (
+        "(sample_count, rng_seed, checked_fd_samples, excluded_fd_samples, "
+        "sandwich_low=0.0, sandwich_high=0.0, grad_mu_low=0.0, grad_mu_high=0.0, "
+        "grad_x_fd_rel=0.0, grad_mu_fd_rel=0.0, smoothness_excess=0.0, "
+        "convexity_gap=0.0, tolerances=<factory>)"
+    ),
+    "CompositeProblem": "(f, h=None, optimum=None, optimal_value=None, fingerprint='')",
+    "ConstantMu": "(mu0)",
+    "ContinuousDriven": "(mu_of_t, t0=0.0)",
+    "ExpDecay": "(mu0, lam, t0=0.0)",
+    "ExponentialMu": "(mu0, gamma, t0=0.0)",
+    "FlowSample": "(t, x, mu, f_true, lyapunov_v, bound_ct, grad_evals)",
+    "GradEvalCounter": "()",
+    "IterationRecord": "(k, t, s, mu, x, f_tilde, f_true, grad_norm, lyapunov, bound, grad_evals)",
+    "LinearMu": "(mu0, rate, t0=0.0)",
+    "PowerDecay": "(mu0, gamma, t0=0.0)",
+    "RateFit": "(model, exponent, log_factor, residual, normalized_residual, window, intercept)",
+    "ReciprocalMu": "(mu0, power, t0=0.0)",
+    "ScheduleState": "(k, t, mu, s, sum_s, scaled_sum_eta_s, scaled_sum_eta_mu_s, inv_eta)",
+    "SmoothApprox": "()",
+    "SmoothPart": "(value, grad, sigma, lipschitz, input_dim, point=None)",
+    "SmoothingParams": "(alpha, beta)",
+    "TimelineBounds": "(k, t_lower, t_upper, mu_lower, mu_upper, k_lower=None, k_upper=None)",
+    "Trajectory": "(records, problem_fingerprint, schedule, status)",
+    "Xoshiro256pp": "(seed)",
+    "advance": "(sched, state, sigma, lipschitz, alpha)",
+    "affine_sum": "(terms)",
+    "bound_continuous": "(x0_dist_sq, beta, sigma, mu_of_t, t0, t)",
+    "bound_discrete": "(state, x0_dist_sq, beta)",
+    "certify": (
+        "(approx, sample_count, rng_seed, mu_range=(0.001, 10.0), x_scale=1.0, "
+        "exclusion_radius=0.001)"
+    ),
+    "closed_form_bound_nonstrongly": "(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq, k)",
+    "discrete_bound_series": "(sched, sigma, lipschitz, alpha, beta, x0_dist_sq, k_max)",
+    "eta_lower_bound": "(state, sigma)",
+    "fit_rate": "(series, model, window)",
+    "huber_l2_approx": "(dim)",
+    "initial_state": "(sched, lipschitz, alpha)",
+    "integrate_euler": "(problem, design, x0, max_steps, **kwargs)",
+    "integrate_rk45": (
+        "(problem, mu_of_t, x0, t0, t_end, rtol, atol, counter=None, "
+        "max_attempts=10000000)"
+    ),
+    "l1_residual": "(c, d, smoothing)",
+    "lipschitz_at": "(problem, mu)",
+    "log_sum_exp_max_approx": "(dim)",
+    "lyapunov_continuous": "(problem, x, t, t0, sigma, beta, mu_of_t)",
+    "lyapunov_discrete": "(problem, state, x)",
+    "quadratic_least_squares": "(a, b)",
+    "run_sgm": (
+        "(problem, sched, x0, max_steps, grad_eval_budget=None, grad_tol=None, "
+        "record_stride=1, step_scale=1.0, counter=None)"
+    ),
+    "smoothed_grad": "(problem, x, mu, counter=None)",
+    "smoothed_value": "(problem, x, mu)",
+    "sqrt_l2_approx": "(dim)",
+    "standard_normal": "(rng_state)",
+    "step_size": "(lipschitz, alpha, mu)",
+    "sum_divergence_equivalent": "(sched, sigma, lipschitz, alpha, horizon)",
+    "timeline_bounds_exponential": "(lipschitz, alpha, mu0, lam, k, t_delta=None)",
+    "timeline_bounds_power": "(lipschitz, alpha, mu0, gamma, k, t_delta=None)",
+    "timeline_table": "(kind, lipschitz, alpha, mu0, param, k_max)",
+}
+HARNESS_API = {
+    "ExperimentConfig": (
+        "(n_x, n_a, n_c, rng_seed, smoothing='sqrt_l2', schedule=<factory>, "
+        "run=<factory>, outputs=None)"
+    ),
+    "flow_csv": "(samples)",
+    "flow_json": "(samples)",
+    "generate_problem": "(cfg)",
+    "json_envelope": "(config, series)",
+    "schedule_from_config": "(params, t0=0.0)",
+    "series_csv": "(columns, rows, row_format)",
+    "timeline_csv": "(table)",
+    "trajectory_csv": "(traj)",
+    "trajectory_json": "(traj)",
+}
+
+
+def shape(obj):
+    """``obj``'s signature without annotations, e.g. ``(a, b=1, *args, **kwargs)``."""
+    sig = inspect.signature(obj)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+
+GOLDENS = {smoothflow: PACKAGE_API, smoothflow.harness: HARNESS_API}
+
+
+@pytest.mark.parametrize("module", GOLDENS, ids=lambda module: module.__name__)
+def test_exported_names(module):
+    assert sorted(module.__all__) == sorted(GOLDENS[module])
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        pytest.param(module, name, id=f"{module.__name__}.{name}")
+        for module, golden in GOLDENS.items()
+        for name in sorted(golden)
+    ],
+)
+def test_exported_signature(module, name):
+    assert shape(getattr(module, name)) == GOLDENS[module][name]

@@ -727,6 +727,19 @@ MALFORMED_VALUES = [
     ("solve-sgf-euler", CONTINUOUS, "run", "max_steps", 40.5),
     ("compare", CONTINUOUS, "run", "max_steps", 1e400),
     ("bounds", STRONG, "run", "max_steps", 2.5),
+    # Float fields take numbers only: a JSON boolean is not 0 or 1.
+    ("solve-sgf-rk45", CONTINUOUS, "run", "rtol", True),
+    ("solve-sgf-rk45", CONTINUOUS, "schedule", "t0", True),
+    ("solve-sgm", STRONG, "schedule", "mu0", True),
+    ("solve-sgm", STRONG, "run", "x0", [True, 0, 0, 0, 0, 0]),
+    ("bounds", STRONG, "schedule", "gamma", True),
+    # Schedule parameters must be finite.
+    ("solve-sgm", STRONG, "schedule", "mu0", math.inf),
+    ("solve-sgm", STRONG, "schedule", "gamma", math.inf),
+    ("solve-sgm", STRONG, "schedule", "t0", math.nan),
+    ("solve-sgm", CONTINUOUS, "schedule", "t0", math.inf),
+    ("solve-sgf-rk45", CONTINUOUS, "schedule", "mu0", math.inf),
+    ("bounds", STRONG, "schedule", "mu0", math.inf),
 ]
 
 

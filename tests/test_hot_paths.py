@@ -35,7 +35,6 @@ from smoothflow import (
 )
 from smoothflow import solver
 from smoothflow.harness import ExperimentConfig, generate_problem
-from smoothflow.problem import _ValueChunk
 
 PACKAGE = os.path.dirname(os.path.abspath(smoothflow.__file__)) + os.sep
 
@@ -122,8 +121,7 @@ def test_rk45_attempts_enter_no_foreign_frame(problem):
     (short, frames_short), (long, frames_long) = (foreign_frames(run, t) for t in (1.5, 3.0))
     # Every accepted step is recorded: both runs must stay inside one
     # monitor chunk, whose flush is per-chunk work, for the counts to match.
-    point = problem.point(x0)
-    cap = solver._CHUNK_FLOATS // (point.x.size + _ValueChunk.row_floats(point))
+    cap = solver._Chunk(problem, problem.point(x0), None)._cap
     assert len(short) < len(long) < cap
     assert short[-1].grad_evals < long[-1].grad_evals
     assert_same_frames(frames_short, frames_long)

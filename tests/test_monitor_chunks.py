@@ -147,12 +147,14 @@ STACKED_ROWS = {
 }
 
 
-def chunk_records(problem):
-    """Records in one chunk of ``problem``'s runs, sized as ``solver._Chunk`` sizes it."""
-    from smoothflow.problem import _ValueChunk
+def chunk_of(problem, columns=None):
+    """The monitor chunk of a run of ``problem``, started at x = 1."""
+    return solver._Chunk(problem, problem.point(np.ones(problem.input_dim)), columns)
 
-    point = problem.point(np.ones(problem.input_dim))
-    return solver._CHUNK_FLOATS // (problem.input_dim + _ValueChunk.row_floats(point))
+
+def chunk_records(problem):
+    """Records in one chunk of ``problem``'s runs."""
+    return chunk_of(problem)._cap
 
 
 def assert_python_floats(*values):
@@ -194,26 +196,32 @@ def test_rk45_samples_equal_single_point_values(smoothing):
 def test_stacked_problems_chunk_one_residual_row(name):
     # So the records tests above cover the stacked path on these
     # problems and the point-by-point path on the others.
-    from smoothflow.problem import _ValueChunk
-
     problem = PROBLEMS[name]()
-    point = problem.point(np.ones(problem.input_dim))
-    assert _ValueChunk.row_floats(point) == STACKED_ROWS.get(name, 0)
+    rows = chunk_of(problem)._rows
+    assert (0 if rows is None else rows.shape[1]) == STACKED_ROWS.get(name, 0)
+    assert chunk_records(problem) == solver._CHUNK_FLOATS // (
+        problem.input_dim + STACKED_ROWS.get(name, 0)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 @pytest.mark.parametrize("copies,mu", [(2, [1.0, 0.0]), (1, [0.5, math.nan])])
 def test_chunk_values_reject_a_non_positive_mu(name, copies, mu):
-    # As smoothed(mu) does for one point: a chunk read, or one point read at every mu.
-    from smoothflow.problem import _ValueChunk
-
+    # As smoothed(mu) does for one point: a chunk read, or one point (x*'s,
+    # here off its planted zero residual) read at every mu.
     problem = PROBLEMS[name]()
-    point = problem.point(np.ones(problem.input_dim))
-    chunk = _ValueChunk(point, copies)
+    ones = np.ones(problem.input_dim)
+    problem = CompositeProblem(f=problem.f, h=problem.h, optimum=ones)
+    mu = np.array(mu)
+
+    def columns(pending):
+        return mu, np.ones(mu.size), np.ones(mu.size), None
+
+    chunk = chunk_of(problem, columns)
     for _ in range(copies):
-        chunk.add(point)
+        chunk.add(problem.point(ones))
     with pytest.raises(InvalidParameterError, match="mu must be > 0"):
-        chunk.values(np.array(mu))
+        chunk.flush()
 
 
 def offset_problem(smoothing):
@@ -230,12 +238,8 @@ def offset_problem(smoothing):
 
 
 def mu_free_value(problem):
-    from smoothflow.problem import _ValueChunk
-
-    point = problem.point(problem.optimum)
-    chunk = _ValueChunk(point, 1)
-    chunk.add(point)
-    return chunk.mu_free_value()
+    """F(x*, mu) as the one float a run's chunk reads for every mu, or None."""
+    return chunk_of(problem)._opt_value
 
 
 @pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
@@ -321,8 +325,8 @@ def same_bits(a, b):
     st.sampled_from([1e-3, 1.0, 1e3]),
 )
 def test_kernel_rows_of_a_chunk_read_as_the_row_alone(name, seed, n, k, scale):
-    # The chunk reads are _ValueChunk's: rows at a mu column, and one row
-    # (x*'s) at every mu of a column.
+    # The chunk reads are solver._Chunk's: rows at a mu column, and one
+    # row (x*'s) at every mu of a column.
     kernel = KERNELS[name]
     rng = np.random.default_rng(seed)
     rows = scale * rng.standard_normal((k, n))
@@ -343,7 +347,7 @@ def test_kernel_rows_of_a_chunk_read_as_the_row_alone(name, seed, n, k, scale):
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("n", [1, 2, 7, 9, 500])
 def test_kernel_reads_zero_on_a_zero_row(name, n):
-    # _ValueChunk.mu_free_value reads F(x*, mu) = F(x*) on this.
+    # solver._Chunk reads F(x*, mu) = F(x*) once per run on this.
     kernel = KERNELS[name]
     mus = np.array([5e-324, 1e-300, 1e-3, 0.7, 1.0, 3.0, 1e300])
     for mu in mus:

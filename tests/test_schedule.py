@@ -56,6 +56,21 @@ class TestStepSize:
             step_size(1.0, 1.0, 0.0)
 
 
+# Finite arguments of each schedule constructor.
+SCHEDULE_ARGS = {
+    PowerDecay: {"mu0": 1.0, "gamma": 0.5, "t0": 0.0},
+    ExpDecay: {"mu0": 1.0, "lam": 0.5, "t0": 0.0},
+    LinearMu: {"mu0": 1.0, "rate": 1.0, "t0": 0.0},
+    ExponentialMu: {"mu0": 1.0, "gamma": 1.0, "t0": 0.0},
+    ReciprocalMu: {"mu0": 1.0, "power": 1.0, "t0": 0.0},
+    ConstantMu: {"mu0": 1.0},
+    ContinuousDriven: {"mu_of_t": ReciprocalMu(1.0, 1.0), "t0": 0.0},
+}
+NUMERIC_ARGS = [
+    (cls, name) for cls, args in SCHEDULE_ARGS.items() for name in args if name != "mu_of_t"
+]
+
+
 class TestVariants:
     def test_power_decay_values(self):
         sched = PowerDecay(mu0=2.0, gamma=0.5)
@@ -76,6 +91,15 @@ class TestVariants:
             PowerDecay(mu0=1.0, gamma=-1.0)
         with pytest.raises(InvalidParameterError):
             ExpDecay(mu0=1.0, lam=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "cls,name", NUMERIC_ARGS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_ARGS]
+    )
+    def test_non_finite_parameters_are_refused(self, cls, name, value):
+        # A schedule must not run at mu = inf or t = inf.
+        with pytest.raises(InvalidParameterError, match=name):
+            cls(**dict(SCHEDULE_ARGS[cls], **{name: value}))
 
     def test_mu_non_increasing_across_variants(self):
         variants = [

@@ -113,8 +113,8 @@ def test_moved_point_leaves_earlier_gradients_alone(smoothing):
 
 
 def test_moving_a_point_without_a_stack_builds_a_fresh_one():
-    # A _ValueChunk keeps such points, so a move must not change one. A
-    # user SmoothPart has no residual to stack.
+    # A run's monitor chunk keeps such points, so a move must not change
+    # one. A user SmoothPart has no residual to stack.
     f = SmoothPart(
         value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=2.0, lipschitz=2.0, input_dim=3
     )
