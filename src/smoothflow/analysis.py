@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import kahan_cumsum
 from .errors import InvalidParameterError, InvalidSeriesError, ScheduleExhaustedError
-from .schedule import advance, initial_state
+from .schedule import _check_params, advance, initial_state
 from .solver import _gap_bound
 
 
@@ -34,6 +34,16 @@ class TimelineBounds(NamedTuple):
     mu_upper: float
     k_lower: Optional[float] = None
     k_upper: Optional[float] = None
+
+
+def _check_constants(lipschitz, alpha, mu0):
+    """Refuse a ``lipschitz`` not finite and >= 0, or an ``alpha`` or ``mu0`` not finite and > 0.
+
+    The message names the parameter; the check precedes any arithmetic on them.
+    """
+    if not 0.0 <= lipschitz < math.inf:
+        raise InvalidParameterError(f"lipschitz must be finite and >= 0, got {lipschitz}")
+    _check_params(alpha=alpha, mu0=mu0)
 
 
 def _time_recursion(lipschitz, alpha, mu):
@@ -68,6 +78,7 @@ def timeline_bounds_exponential(lipschitz, alpha, mu0, lam, k, t_delta=None):
         raise InvalidParameterError(f"lambda must be in (0, 1), got {lam}")
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
+    _check_constants(lipschitz, alpha, mu0)
     c_full = lipschitz + alpha / mu0
     c_tail = alpha / mu0
     geo = (1.0 - lam**k) / (1.0 - lam)
@@ -93,6 +104,7 @@ def timeline_bounds_power(lipschitz, alpha, mu0, gamma, k, t_delta=None):
         raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
+    _check_constants(lipschitz, alpha, mu0)
     c_full = lipschitz + alpha / mu0
     c_tail = alpha / mu0
     if t_delta is None:
@@ -141,6 +153,7 @@ def timeline_table(kind, lipschitz, alpha, mu0, param, k_max):
     gamma). Returns a dict of equal-length arrays with keys
     k, t_actual, t_lower, t_upper, mu_actual, mu_lower, mu_upper.
     """
+    _check_constants(lipschitz, alpha, mu0)
     if kind == "exponential":
         t_delta = exponential_time_recursion(lipschitz, alpha, mu0, param, k_max)
         bounds_at = lambda k: timeline_bounds_exponential(  # noqa: E731

@@ -66,12 +66,9 @@ class SmoothApprox:
     def point(self, x):
         """The approximation at one ``x``.
 
-        The result has ``value(mu)``, ``grad(mu)`` and ``exact()``, equal
-        to ``value(x, mu)``, ``grad_x(x, mu)`` and ``underlying_value(x)``.
-        Subclasses override this to evaluate what depends only on ``x``
-        once, so the gradient and the values at any number of ``mu``
-        cost a single pass over ``x``. The shape of ``x`` is checked
-        here.
+        The result has ``value(mu)``, ``grad(mu)`` and ``exact()``, which
+        call ``value(x, mu)``, ``grad_x(x, mu)`` and ``underlying_value(x)``.
+        The shape of ``x`` is checked here.
         """
         return _ApproxPoint(self, self._check_input(x))
 
@@ -270,51 +267,29 @@ class _Residual(SmoothApprox):
         self._kernel = kernel
         self.params = params
 
-    def point(self, x):
-        return _ResidualPoint(self, self._check_input(x))
-
     def _residual(self, xs):
         """C x - d at one point, or at each row of a stack of points."""
         return xs if self._c is None else xs @ self._c.T - self._d
 
+    def _at(self, x):
+        """C x - d at one ``x``, whose shape is checked."""
+        return self._residual(self._check_input(x))
+
     def underlying_value(self, x):
-        return self.point(x).exact()
+        return float(self._kernel.exact(self._at(x)))
 
     def value(self, x, mu):
-        return self.point(x).value(mu)
+        return float(self._kernel.smoothed(self._at(x), _check_mu(mu)))
 
     def grad_x(self, x, mu):
-        return self.point(x).grad(mu)
-
-    def grad_mu(self, x, mu):
-        return self.point(x).grad_mu(mu)
-
-    def branch_distance(self, x, mu):
-        return float(self._kernel.gap(self.point(x)._r, mu))
-
-
-class _ResidualPoint:
-    """A ``_Residual`` at one x: r = C x - d is formed once and read at every mu."""
-
-    __slots__ = ("_c", "_kernel", "_r")
-
-    def __init__(self, term, x):
-        self._c = term._c
-        self._kernel = term._kernel
-        self._r = term._residual(x)
-
-    def value(self, mu):
-        return float(self._kernel.smoothed(self._r, _check_mu(mu)))
-
-    def grad(self, mu):
-        coeff = self._kernel.coeff(self._r, _check_mu(mu))
+        coeff = self._kernel.coeff(self._at(x), _check_mu(mu))
         return coeff if self._c is None else self._c.T @ coeff
 
-    def grad_mu(self, mu):
-        return float(self._kernel.grad_mu(self._r, _check_mu(mu)))
+    def grad_mu(self, x, mu):
+        return float(self._kernel.grad_mu(self._at(x), _check_mu(mu)))
 
-    def exact(self):
-        return float(self._kernel.exact(self._r))
+    def branch_distance(self, x, mu):
+        return float(self._kernel.gap(self._at(x), mu))
 
 
 def _check_dim(dim):

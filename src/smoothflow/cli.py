@@ -135,41 +135,35 @@ def _x0(cfg):
     raw = cfg.run.get("x0")
     if raw is None:
         return np.zeros(cfg.n_x)
-    if isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list):
         raise ConfigError(f"run.x0 must be a list of numbers, got {raw!r}")
-    try:
-        x0 = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"run.x0 must be a list of numbers: {exc}") from exc
+    x0 = np.array([_number(v, "run.x0 entry") for v in raw])
     if x0.shape != (cfg.n_x,):
         raise ConfigError(f"x0 must have length {cfg.n_x}")
     return x0
 
 
-def _schedule(cfg):
-    return schedule_from_config(cfg.schedule, t0=_DEFAULT_T0)
+def _schedule(cfg, needs=None):
+    """``cfg``'s schedule, which must be continuous-* when ``needs`` names what needs it."""
+    sched = schedule_from_config(cfg.schedule, t0=_DEFAULT_T0)
+    if needs is not None and not isinstance(sched, ContinuousDriven):
+        raise ConfigError(f"{needs} needs a continuous-* schedule")
+    return sched
 
 
-def _emit_trajectory(args, cfg, traj, stem):
+def _emit(args, cfg, stem, csv_text, series):
+    """Write ``csv_text()`` to ``stem``.csv, or with --format json ``series()`` to ``stem``.json."""
     out = _out_dir(args, cfg)
     if args.format == "csv":
-        _write(os.path.join(out, stem + ".csv"), trajectory_csv(traj))
+        text = csv_text()
     else:
-        envelope = json_envelope(
-            cfg.to_dict(),
-            {"status": traj.status, "schedule": traj.schedule, "records": trajectory_json(traj)},
-        )
-        _write(os.path.join(out, stem + ".json"), envelope)
-    if args.strict and traj.status == STATUS_SCHEDULE:
-        return _EXIT_EXHAUSTED
-    return _EXIT_OK
+        text = json_envelope(cfg.to_dict(), series())
+    _write(os.path.join(out, f"{stem}.{args.format}"), text)
 
 
-def _exhausted_code(args, ks, k_max):
-    """4 under --strict if the bound series stopped before k_max, at schedule exhaustion; else 0."""
-    if args.strict and len(ks) < k_max:
-        return _EXIT_EXHAUSTED
-    return _EXIT_OK
+def _exit_code(args, exhausted):
+    """4 under --strict if the schedule exhausted before the run's end; else 0."""
+    return _EXIT_EXHAUSTED if args.strict and exhausted else _EXIT_OK
 
 
 def _cmd_generate(args):
@@ -191,40 +185,43 @@ def _cmd_generate(args):
     return _EXIT_OK
 
 
-def _cmd_solve_sgm(args):
+def _solve(args, method, stem, needs=None):
+    """Run ``method`` (``run_sgm`` or ``integrate_euler``) on the config; write its trajectory."""
     cfg = _load_config(args)
     problem = generate_problem(cfg)
-    sched = _schedule(cfg)
-    traj = run_sgm(
+    traj = method(
         problem,
-        sched,
+        _schedule(cfg, needs),
         _x0(cfg),
         max_steps=_run_param(cfg, "max_steps", int, _DEFAULT_MAX_STEPS),
         record_stride=_run_param(cfg, "record_stride", int, 1),
     )
-    return _emit_trajectory(args, cfg, traj, "trajectory")
+    _emit(
+        args,
+        cfg,
+        stem,
+        lambda: trajectory_csv(traj),
+        lambda: {
+            "status": traj.status,
+            "schedule": traj.schedule,
+            "records": trajectory_json(traj),
+        },
+    )
+    return _exit_code(args, traj.status == STATUS_SCHEDULE)
+
+
+# Each looks its method up by name when it runs, so a rebound module
+# attribute (a test's patch, a tracer's wrapper) is the one called.
+def _cmd_solve_sgm(args):
+    return _solve(args, run_sgm, "trajectory")
 
 
 def _cmd_solve_euler(args):
-    cfg = _load_config(args)
-    problem = generate_problem(cfg)
-    sched = _schedule(cfg)
-    if not isinstance(sched, ContinuousDriven):
-        raise ConfigError("solve-sgf-euler needs a continuous-* schedule")
-    traj = integrate_euler(
-        problem,
-        sched,
-        _x0(cfg),
-        max_steps=_run_param(cfg, "max_steps", int, _DEFAULT_MAX_STEPS),
-        record_stride=_run_param(cfg, "record_stride", int, 1),
-    )
-    return _emit_trajectory(args, cfg, traj, "flow_euler")
+    return _solve(args, integrate_euler, "flow_euler", needs="solve-sgf-euler")
 
 
 def _rk45_leg(cfg, problem):
-    sched = _schedule(cfg)
-    if not isinstance(sched, ContinuousDriven):
-        raise ConfigError("adaptive flow integration needs a continuous-* schedule")
+    sched = _schedule(cfg, needs="adaptive flow integration")
     t0 = sched.t0
     t_end = _run_param(cfg, "t_end", float, t0 + 1.0)
     rtol = _run_param(cfg, "rtol", float, 1e-3)
@@ -247,12 +244,9 @@ def _cmd_solve_rk45(args):
     cfg = _load_config(args)
     problem = generate_problem(cfg)
     samples = _rk45_leg(cfg, problem)
-    out = _out_dir(args, cfg)
-    if args.format == "csv":
-        _write(os.path.join(out, "flow_rk45.csv"), flow_csv(samples))
-    else:
-        envelope = json_envelope(cfg.to_dict(), {"samples": flow_json(samples)})
-        _write(os.path.join(out, "flow_rk45.json"), envelope)
+    _emit(
+        args, cfg, "flow_rk45", lambda: flow_csv(samples), lambda: {"samples": flow_json(samples)}
+    )
     _warn_gap_above_bound(samples, problem.optimal_value)
     return _EXIT_OK
 
@@ -318,7 +312,7 @@ def _cmd_bounds(args):
         )
         fields.append([closed(k) for k in ks_list])
     _write(os.path.join(out, "discrete_bounds.csv"), series_csv(columns, zip(*fields), row))
-    return _exhausted_code(args, ks, k_max)
+    return _exit_code(args, len(ks) < k_max)
 
 
 def _cmd_rate_fit(args):
@@ -326,17 +320,17 @@ def _cmd_rate_fit(args):
     problem = generate_problem(cfg)
     ks, bounds, _ = _bound_series(cfg, problem, args.k_max)
     result = fit_rate(list(zip(ks, bounds)), args.model, (args.window_min, args.window_max))
-    out = _out_dir(args, cfg)
-    if args.format == "csv":
-        columns = ["model", "exponent", "residual", "normalized_residual"]
-        _write(
-            os.path.join(out, "rate_fit.csv"),
-            series_csv(columns, [operator.attrgetter(*columns)(result)], "%s,%.17g,%.17g,%.17g"),
-        )
-    else:
-        report = json_envelope(cfg.to_dict(), dataclasses.asdict(result))
-        _write(os.path.join(out, "rate_fit.json"), report)
-    return _exhausted_code(args, ks, args.k_max)
+    columns = ["model", "exponent", "residual", "normalized_residual"]
+    _emit(
+        args,
+        cfg,
+        "rate_fit",
+        lambda: series_csv(
+            columns, [operator.attrgetter(*columns)(result)], "%s,%.17g,%.17g,%.17g"
+        ),
+        lambda: dataclasses.asdict(result),
+    )
+    return _exit_code(args, len(ks) < args.k_max)
 
 
 def _cmd_compare(args):
@@ -347,31 +341,24 @@ def _cmd_compare(args):
     sched = _schedule(cfg)
     max_steps = _run_param(cfg, "max_steps", int, max(budget, 1))
     traj = run_sgm(problem, sched, _x0(cfg), max_steps=max_steps, grad_eval_budget=budget)
-    out = _out_dir(args, cfg)
-    if args.format == "csv":
-        columns = ["series", "t", "mu", "f_true", "grad_evals"]
-        get = operator.attrgetter(*columns[1:])
-        rows = itertools.chain(
-            (("SGM", *get(r)) for r in traj.records),
-            (("SGF-RK45", *get(s)) for s in samples),
-        )
-        _write(
-            os.path.join(out, "compare.csv"),
-            series_csv(columns, rows, "%s,%.17g,%.17g,%.17g,%d"),
-        )
-    else:
-        envelope = json_envelope(
-            cfg.to_dict(),
-            {
-                "SGM": trajectory_json(traj),
-                "SGF-RK45": flow_json(samples),
-                "matched_grad_eval_budget": budget,
-            },
-        )
-        _write(os.path.join(out, "compare.json"), envelope)
-    if args.strict and traj.status == STATUS_SCHEDULE:
-        return _EXIT_EXHAUSTED
-    return _EXIT_OK
+    columns = ["series", "t", "mu", "f_true", "grad_evals"]
+    get = operator.attrgetter(*columns[1:])
+    rows = itertools.chain(
+        (("SGM", *get(r)) for r in traj.records),
+        (("SGF-RK45", *get(s)) for s in samples),
+    )
+    _emit(
+        args,
+        cfg,
+        "compare",
+        lambda: series_csv(columns, rows, "%s,%.17g,%.17g,%.17g,%d"),
+        lambda: {
+            "SGM": trajectory_json(traj),
+            "SGF-RK45": flow_json(samples),
+            "matched_grad_eval_budget": budget,
+        },
+    )
+    return _exit_code(args, traj.status == STATUS_SCHEDULE)
 
 
 _COMMANDS = {

@@ -16,6 +16,7 @@ floats are printed with 17 significant digits.
 """
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,27 +56,29 @@ __all__ = [
 def _integer(raw, name):
     """``raw`` as an int; a ``ConfigError`` naming ``name`` unless it is an integral number.
 
-    A bool or a number with a fractional part is refused, not truncated.
+    A bool, a string or a number with a fractional part is refused, not
+    read or truncated.
     """
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        try:
+            if int(raw) == raw:
+                return int(raw)
+        except (ValueError, OverflowError):  # NaN or an infinity
+            pass
+    raise ConfigError(f"{name} must be an integer, got {raw!r}")
 
 
 def _number(raw, name):
     """``raw`` as a float; a ``ConfigError`` naming ``name`` unless it is a number.
 
-    A bool is refused, not read as 0 or 1.
+    A bool or a string is refused, not read as 0, 1 or its text.
     """
-    if isinstance(raw, bool):
-        raise ConfigError(f"{name} must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:  # an integer past the double range
+            pass
+    raise ConfigError(f"{name} must be a number, got {raw!r}")
 
 
 @dataclass

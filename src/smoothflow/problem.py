@@ -265,7 +265,7 @@ class CompositeProblem:
 
 
 class CompositePoint:
-    """F at one x: the gradient, F(x, mu) and F(x) from one pass over x.
+    """F at one x: the gradient, F(x, mu) and F(x).
 
     On a stacked problem (a least-squares f and a built-in h, or no h)
     the point owns the residual ``r = M x - e`` and the gradient's
@@ -277,9 +277,9 @@ class CompositePoint:
     ``f.grad + h.grad_x``, which sum two products. The values sum the
     rows of ``r`` with the kernels a run's monitors (``solver._Chunk``)
     run on a chunk of rows. Any other problem (a user ``SmoothPart`` or
-    ``SmoothApprox`` subclass, or ``affine_sum``) reads its parts' own
-    points: the residuals inside them are formed when the point is
-    built, and ``move`` builds a fresh point.
+    ``SmoothApprox`` subclass, or ``affine_sum``) asks its parts' own
+    points, ``f.point(x)`` and ``h.point(x)``, for every value, and
+    ``move`` builds a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
@@ -288,7 +288,7 @@ class CompositePoint:
     """
 
     __slots__ = (
-        "x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f", "_h", "_fx"
+        "x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f", "_h"
     )
 
     def __init__(self, problem, x):
@@ -309,7 +309,6 @@ class CompositePoint:
             )
         self._h = None if problem.h is None else problem.h.point(x)
         self._f = problem.f.point(x)
-        self._fx = None
         self.x = x
 
     def move(self, x):
@@ -337,11 +336,6 @@ class CompositePoint:
         self.x = x
         return self
 
-    def _f_value(self):
-        if self._fx is None:
-            self._fx = self._f.value()
-        return self._fx
-
     def grad(self, mu):
         """grad_x F(x, mu)."""
         _check_mu(mu)
@@ -362,16 +356,16 @@ class CompositePoint:
         if self._stacked is not None:
             return float(self._stacked.smoothed(self._r, mu))
         if self._h is None:
-            return float(self._f_value())
-        return float(self._f_value() + self._h.value(mu))
+            return float(self._f.value())
+        return float(self._f.value() + self._h.value(mu))
 
     def exact(self):
         """F(x) with the exact h."""
         if self._stacked is not None:
             return float(self._stacked.exact(self._r))
         if self._h is None:
-            return float(self._f_value())
-        return float(self._f_value() + self._h.exact())
+            return float(self._f.value())
+        return float(self._f.value() + self._h.exact())
 
 
 def smoothed_value(problem, x, mu):

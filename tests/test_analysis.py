@@ -134,6 +134,34 @@ class TestTimelineTable:
         with pytest.raises(InvalidParameterError):
             timeline_table("geometric", 0.0, 1.0, 1.0, 0.5, 10)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("lipschitz", -3.0),
+            ("lipschitz", math.inf),
+            ("lipschitz", math.nan),
+            ("alpha", 0.0),
+            ("alpha", -1.0),
+            ("alpha", math.inf),
+            ("mu0", 0.0),
+            ("mu0", -1.0),
+            ("mu0", math.inf),
+        ],
+    )
+    def test_constants_out_of_range_are_refused(self, name, value):
+        # Refused by name before any arithmetic, which would divide by
+        # zero or warn (an error under this suite's warning filter).
+        constants = dict({"lipschitz": 1.0, "alpha": 1.0, "mu0": 1.0}, **{name: value})
+        calls = [
+            lambda: timeline_table("power", **constants, param=0.5, k_max=10),
+            lambda: timeline_table("exponential", **constants, param=0.5, k_max=10),
+            lambda: timeline_bounds_power(**constants, gamma=0.5, k=3),
+            lambda: timeline_bounds_exponential(**constants, lam=0.5, k=3),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+                call()
+
 
 class TestFitRate:
     def test_exact_power_series(self):

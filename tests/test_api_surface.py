@@ -3,17 +3,21 @@
 README's quick start imports from ``smoothflow`` and ``smoothflow.harness``;
 these goldens pin what those two modules export and, for each export, its
 parameters' names, kinds and defaults (the signature without annotations,
-defaults as their ``repr``). The file formats are pinned by the golden
-hashes of ``test_cli.py``; this pins the calls that produce them. A change
-here is a change to the API and should be deliberate.
+defaults as their ``repr``). They also pin the command line: every
+subcommand's options, each with its strings, ``dest``, default, type and
+choices. The file formats are pinned by the golden hashes of
+``test_cli.py``; this pins the calls that produce them. A change here is
+a change to the API and should be deliberate.
 """
 
+import argparse
 import inspect
 
 import pytest
 
 import smoothflow
 import smoothflow.harness
+from smoothflow import cli
 
 PACKAGE_API = {
     "AffineTerm": "(weight, matrix, offset, inner)",
@@ -97,6 +101,41 @@ HARNESS_API = {
     "trajectory_json": "(traj)",
 }
 
+# Each option as "strings dest default type choices": the default as its
+# repr, the type as its name (None reads the raw string).
+COMMON_OPTIONS = [
+    "-h --help help '==SUPPRESS==' None None",
+    "--config config None None None",
+    "--seed seed None int None",
+    "--out out None None None",
+    "--format format 'csv' None ('csv', 'json')",
+    "--strict strict False None None",
+]
+CLI_API = {
+    "generate": COMMON_OPTIONS,
+    "solve-sgm": COMMON_OPTIONS,
+    "solve-sgf-euler": COMMON_OPTIONS,
+    "solve-sgf-rk45": COMMON_OPTIONS,
+    "bounds": COMMON_OPTIONS
+    + [
+        "--schedule schedule None None ('power', 'exponential')",
+        "--gamma gamma None float None",
+        "--lambda lam None float None",
+        "--mu0 mu0 1.0 float None",
+        "--lipschitz lipschitz 0.0 float None",
+        "--alpha alpha 1.0 float None",
+        "--k-max k_max 1000 int None",
+    ],
+    "rate-fit": COMMON_OPTIONS
+    + [
+        "--model model 'power' None ('power', 'power_log', 'inv_log')",
+        "--window-min window_min 100 int None",
+        "--window-max window_max 10000 int None",
+        "--k-max k_max 10000 int None",
+    ],
+    "compare": COMMON_OPTIONS,
+}
+
 
 def shape(obj):
     """``obj``'s signature without annotations, e.g. ``(a, b=1, *args, **kwargs)``."""
@@ -123,3 +162,30 @@ def test_exported_names(module):
 )
 def test_exported_signature(module, name):
     assert shape(getattr(module, name)) == GOLDENS[module][name]
+
+
+def subcommands():
+    """The parser's subcommand name -> sub-parser map."""
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_subcommand_names():
+    assert list(subcommands()) == list(CLI_API)
+
+
+@pytest.mark.parametrize("command", CLI_API)
+def test_subcommand_options(command):
+    options = [
+        " ".join(
+            [
+                *action.option_strings,
+                action.dest,
+                repr(action.default),
+                getattr(action.type, "__name__", "None"),
+                str(action.choices),
+            ]
+        )
+        for action in subcommands()[command]._actions
+    ]
+    assert options == CLI_API[command]

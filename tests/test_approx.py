@@ -304,6 +304,24 @@ class TestCertify:
         assert report.passed
         assert report.checked_fd_samples + report.excluded_fd_samples == 1000
 
+    def test_affine_sum_excludes_near_its_huber_term_boundary(self):
+        # The sum's branch distance is its nearest term's: the Huber term's
+        # finite one, not the square-root term's +inf.
+        rng = np.random.default_rng(8)
+        huber = AffineTerm(
+            1.0, rng.standard_normal((3, 4)), rng.standard_normal(3), huber_l2_approx(3)
+        )
+        sqrt = AffineTerm(0.5, rng.standard_normal((2, 4)), np.zeros(2), sqrt_l2_approx(2))
+        h = affine_sum([huber, sqrt])
+        x, mu = rng.standard_normal(4), 0.7
+        distance = huber.inner.branch_distance(huber.matrix @ x + huber.offset, mu)
+        assert h.branch_distance(x, mu) == distance < math.inf
+        report = certify(h, 300, rng_seed=909)
+        assert report.passed
+        assert report.checked_fd_samples + report.excluded_fd_samples == 300
+        assert certify(h, 20, rng_seed=909, exclusion_radius=0.0).excluded_fd_samples == 0
+        assert certify(h, 20, rng_seed=909, exclusion_radius=math.inf).checked_fd_samples == 0
+
     def test_log_sum_exp_certifies(self):
         report = certify(log_sum_exp_max_approx(4), 1000, rng_seed=303)
         assert report.passed

@@ -79,6 +79,37 @@ class TestExitCodes:
         cfg = write_config(tmp_path, STRONG)
         assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "command,needs",
+        [
+            ("solve-sgf-euler", "solve-sgf-euler"),
+            ("solve-sgf-rk45", "adaptive flow integration"),
+            ("compare", "adaptive flow integration"),
+        ],
+    )
+    def test_flow_commands_need_a_continuous_schedule(self, tmp_path, capsys, command, needs):
+        cfg = write_config(tmp_path, STRONG)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needs} needs a continuous-* schedule\n")
+
+    @pytest.mark.parametrize(
+        "flag,value,rule",
+        [
+            ("--alpha", "0", "> 0"),
+            ("--mu0", "0", "> 0"),
+            ("--mu0", "inf", "> 0"),
+            ("--mu0", "-1", "> 0"),
+            ("--alpha", "-1", "> 0"),
+            ("--lipschitz", "-3", ">= 0"),
+        ],
+    )
+    def test_bounds_timeline_flag_out_of_range(self, tmp_path, capsys, flag, value, rule):
+        argv = ["bounds", "--schedule", "power", "--gamma", "0.5", flag, value]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be finite and {rule}, got ")
+
 
 class TestOutputs:
     def test_generate_writes_problem_json(self, tmp_path):
@@ -740,6 +771,12 @@ MALFORMED_VALUES = [
     ("solve-sgm", CONTINUOUS, "schedule", "t0", math.inf),
     ("solve-sgf-rk45", CONTINUOUS, "schedule", "mu0", math.inf),
     ("bounds", STRONG, "schedule", "mu0", math.inf),
+    # Numbers written as JSON strings are refused, not parsed.
+    ("solve-sgm", STRONG, "problem", "n_x", "6"),
+    ("solve-sgm", STRONG, "run", "max_steps", "40"),
+    ("solve-sgm", STRONG, "schedule", "gamma", "0.5"),
+    ("solve-sgf-rk45", CONTINUOUS, "run", "rtol", "1e-3"),
+    ("solve-sgm", STRONG, "run", "x0", ["0", 0, 0, 0, 0, 0]),
 ]
 
 

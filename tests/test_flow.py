@@ -339,6 +339,12 @@ class TestContinuousLyapunov:
         with pytest.raises(Exception):
             lyapunov_continuous(prob, np.ones(1), 1.0, 0.0, 0.0, 0.0, ConstantMu(1.0))
 
+    def test_time_before_t0_is_refused(self, strongly_convex_problem):
+        p = strongly_convex_problem
+        design = ExponentialMu(1.0, 2.0, t0=1.0)
+        with pytest.raises(InvalidParameterError, match="t must be >= t0"):
+            lyapunov_continuous(p, np.zeros(10), 0.5, 1.0, p.f.sigma, p.beta, design)
+
     def test_increment_bounded_by_weighted_mu_integral(self, strongly_convex_problem, zero_x0):
         # V(t) - V(t0) <= beta * int exp(sigma tau') mu dtau', checked along
         # a tight-tolerance adaptive run with a dense-grid quadrature oracle.
@@ -604,6 +610,14 @@ class TestCertifiedRk45Bound:
         bound = np.array([s.bound_ct for s in samples[1:]])
         # Slack for evaluating f_true and the bound in floating point only.
         assert (gap <= bound + 1e-12 * (1.0 + np.abs(bound))).all()
+
+
+class TestExponentialClosedForm:
+    @pytest.mark.parametrize("mu0,rate,t", [(1.0, 0.5, 3.0), (2.5, 1.3, 1.75), (0.3, 4.0, 11.0)])
+    def test_rate_equal_to_sigma_is_mu0_times_elapsed_time(self, mu0, rate, t):
+        # exp(sigma (tau - t0)) mu0 exp(-gamma (tau - t0)) is the constant mu0.
+        design = ExponentialMu(mu0, rate, t0=1.0)
+        assert design.weighted_integral(rate, 1.0, t) == mu0 * (t - 1.0)
 
 
 class TestLinearClosedForm:

@@ -122,9 +122,9 @@ def test_generate_problem_makes_no_spectral_norm_call(smoothing, monkeypatch):
 
 @pytest.mark.parametrize("smoothing", SMOOTHINGS)
 def test_traced_methods_defined_on_the_term_class(smoothing):
-    # The benchmark tracer wraps these through the class __dict__, and
-    # tests patch ``point`` there; inherited methods are not in it.
+    # The benchmark tracer wraps these through the class __dict__;
+    # inherited methods are not in it.
     h_type = type(generate_problem(ExperimentConfig(2, 3, 4, 0, smoothing=smoothing)).h)
-    for name in ("value", "grad_x", "underlying_value", "point"):
+    for name in ("value", "grad_x", "underlying_value"):
         assert name in h_type.__dict__
 

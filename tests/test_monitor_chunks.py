@@ -178,6 +178,20 @@ def test_records_equal_single_point_values(name):
         state = advance(sched, state, problem.f.sigma, problem.f.lipschitz, problem.alpha)
 
 
+@pytest.mark.parametrize("name", ["l1-sqrt_l2", "custom-part"])
+def test_records_filling_whole_chunks(name):
+    # The last record fills the second chunk, which flushes at once, so the
+    # run's closing flush finds nothing pending: every record is made once.
+    problem = PROBLEMS[name]()
+    cap = chunk_records(problem)
+    x0 = np.full(problem.input_dim, 3.0)
+    traj = run_sgm(problem, PowerDecay(mu0=1.0, gamma=0.5), x0, max_steps=2 * cap - 1)
+    assert [r.k for r in traj.records] == list(range(2 * cap))
+    for r in traj.records[cap - 1 : cap + 1] + traj.records[-1:]:
+        assert r.f_tilde == smoothed_value(problem, r.x, r.mu)
+        assert r.f_true == problem.true_value(r.x)
+
+
 @pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
 def test_rk45_samples_equal_single_point_values(smoothing):
     problem = l1_problem(smoothing)

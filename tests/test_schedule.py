@@ -266,6 +266,19 @@ class TestSumDivergence:
         assert report.consistent
         assert np.all(report.sum_s_series <= 2.0 + 1e-12)
 
+    def test_exhaustion_truncates_the_series(self):
+        # lam**k underflows the positivity floor near k ~ 1074.
+        sched = ExpDecay(mu0=1.0, lam=0.5)
+        report = sum_divergence_equivalent(sched, 0.0, 0.0, 1.0, 2000)
+        assert 1 <= report.horizon < 2000
+        assert len(report.sum_s_series) == len(report.sum_eta_s_series) == report.horizon + 1
+        # The run that stops at the last step before exhaustion reads the same.
+        whole = sum_divergence_equivalent(sched, 0.0, 0.0, 1.0, report.horizon)
+        assert whole.horizon == report.horizon
+        assert np.array_equal(whole.sum_s_series, report.sum_s_series)
+        assert np.array_equal(whole.sum_eta_s_series, report.sum_eta_s_series)
+        assert report.sum_s_verdict == whole.sum_s_verdict == "saturating"
+
     def test_power_half_grows_like_sqrt(self):
         report = sum_divergence_equivalent(PowerDecay(mu0=1.0, gamma=0.5), 0.0, 0.0, 1.0, 10_000)
         assert report.sum_s_verdict == "diverging"

@@ -1,9 +1,12 @@
 """Property tests for the partial-evaluation path ``point(x)``.
 
 ``SmoothApprox.point(x)`` gives ``value(mu)`` and ``exact()``, and
-``CompositeProblem.point(x)`` gives ``smoothed(mu)`` and ``exact()``,
-from one pass over ``x``; the solvers' monitors read every recorded
-value through them.
+``CompositeProblem.point(x)`` gives ``smoothed(mu)`` and ``exact()``.
+A stacked problem's point forms one residual ``M x - e`` for the
+gradient and every value; a built-in surrogate's point calls its
+``value`` and ``underlying_value``, each of which forms ``C x - d``.
+The solvers' monitors read every recorded value through these points
+or, on a stacked problem, through the same kernels on a chunk of rows.
 """
 
 import numpy as np
@@ -138,7 +141,7 @@ def test_problem_at_keeps_summation_order(seed, n_x, kind, mu, other_mu, scale):
         assert abs(smoothed(mu) - (fx + h.value(x, mu))) <= tol
         assert abs(exact - (fx + h.underlying_value(x))) <= tol
     assert [smoothed(mu), exact] == expected
-    # One evaluation at x serves every mu (the monitors reuse F(x*, .)).
+    # The point read at a second mu agrees with a fresh evaluation there.
     assert smoothed(other_mu) == smoothed_value(p, x, other_mu)
     assert exact == p.true_value(x)
     with pytest.raises(InvalidParameterError):
