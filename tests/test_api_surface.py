@@ -3,7 +3,9 @@
 README's quick start imports from ``smoothflow`` and ``smoothflow.harness``;
 these goldens pin what those two modules export and, for each export, its
 parameters' names, kinds and defaults (the signature without annotations,
-defaults as their ``repr``). They also pin the command line: every
+defaults as their ``repr``), and for each exported class the public
+methods and properties smoothflow defines on it, a method with its
+signature. They also pin the command line: every
 subcommand's options, each with its strings, ``dest``, default, type and
 choices. The file formats are pinned by the golden hashes of
 ``test_cli.py``; this pins the calls that produce them. A change here is
@@ -100,6 +102,51 @@ HARNESS_API = {
     "trajectory_csv": "(traj)",
     "trajectory_json": "(traj)",
 }
+# Each exported class -> its public methods and properties defined in
+# smoothflow: a method's signature (with ``self``), or "property".
+PUBLIC_MEMBERS = {
+    "AffineTerm": {},
+    "CertificationReport": {"passed": "property"},
+    "CompositeProblem": {
+        "alpha": "property",
+        "beta": "property",
+        "input_dim": "property",
+        "point": "(self, x)",
+        "require_optimum": "(self)",
+        "true_value": "(self, x)",
+    },
+    "ConstantMu": {"describe": "(self)", "weighted_integral": "(self, sigma, t0, t)"},
+    "ContinuousDriven": {"describe": "(self)", "mu_at": "(self, k, t)"},
+    "ExpDecay": {"describe": "(self)", "mu_at": "(self, k, t)"},
+    "ExponentialMu": {"describe": "(self)", "weighted_integral": "(self, sigma, t0, t)"},
+    "FlowSample": {},
+    "GradEvalCounter": {"increment": "(self)"},
+    "IterationRecord": {},
+    "LinearMu": {"describe": "(self)", "weighted_integral": "(self, sigma, t0, t)"},
+    "PowerDecay": {"describe": "(self)", "mu_at": "(self, k, t)"},
+    "RateFit": {},
+    "ReciprocalMu": {"describe": "(self)"},
+    "ScheduleState": {"eta": "property", "sum_eta_mu_s": "property", "sum_eta_s": "property"},
+    "SmoothApprox": {
+        "branch_distance": "(self, x, mu)",
+        "grad_mu": "(self, x, mu)",
+        "grad_x": "(self, x, mu)",
+        "point": "(self, x)",
+        "underlying_value": "(self, x)",
+        "value": "(self, x, mu)",
+    },
+    "SmoothPart": {},
+    "SmoothingParams": {},
+    "TimelineBounds": {},
+    "Trajectory": {"column": "(self, name)", "final": "property"},
+    "Xoshiro256pp": {
+        "next_u64": "(self)",
+        "normal": "(self)",
+        "normals": "(self, shape)",
+        "uniform": "(self)",
+    },
+    "ExperimentConfig": {"from_dict": "(raw)", "from_file": "(path)", "to_dict": "(self)"},
+}
 
 # Each option as "strings dest default type choices": the default as its
 # repr, the type as its name (None reads the raw string).
@@ -162,6 +209,40 @@ def test_exported_names(module):
 )
 def test_exported_signature(module, name):
     assert shape(getattr(module, name)) == GOLDENS[module][name]
+
+
+def public_members(cls):
+    """Name -> signature (or "property") of each public method and property
+    that a smoothflow class in ``cls``'s MRO defines."""
+    members = {}
+    for owner in cls.__mro__:
+        if not owner.__module__.startswith("smoothflow"):
+            continue
+        for name, value in vars(owner).items():
+            if name.startswith("_") or name in members:
+                continue
+            if isinstance(value, property):
+                members[name] = "property"
+            elif inspect.isfunction(value) or isinstance(value, (staticmethod, classmethod)):
+                members[name] = shape(getattr(cls, name))
+    return dict(sorted(members.items()))
+
+
+EXPORTED_CLASSES = {
+    name: getattr(module, name)
+    for module in GOLDENS
+    for name in sorted(module.__all__)
+    if inspect.isclass(getattr(module, name))
+}
+
+
+def test_every_exported_class_is_pinned():
+    assert sorted(EXPORTED_CLASSES) == sorted(PUBLIC_MEMBERS)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED_CLASSES))
+def test_public_members(name):
+    assert public_members(EXPORTED_CLASSES[name]) == PUBLIC_MEMBERS[name]
 
 
 def subcommands():

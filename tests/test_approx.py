@@ -124,6 +124,12 @@ def test_invalid_dimension_rejected(factory):
 
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_wrong_shape_input_rejected(factory):
+    with pytest.raises(DimensionMismatchError, match=r"expected input of shape \(2,\), got \(3,\)"):
+        factory(2).value(np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
 def test_nonpositive_mu_rejected(factory):
     a = factory(2)
     with pytest.raises(InvalidParameterError):
@@ -260,6 +266,22 @@ class TestAffineSum:
             AffineTerm(1.0, np.ones((3, 2)), np.zeros(3), sqrt_l2_approx(2)),
         ]
         with pytest.raises(DimensionMismatchError, match="term 1"):
+            affine_sum(terms)
+
+    @pytest.mark.parametrize(
+        "matrix,offset,message",
+        [
+            (np.ones((2, 3)), np.zeros(2), "term 1: matrix has 3 columns, expected 2"),
+            (np.eye(2), np.zeros(3), r"term 1: offset has shape \(3,\), expected \(2,\)"),
+        ],
+        ids=["columns", "offset"],
+    )
+    def test_column_and_offset_mismatch_name_the_term(self, matrix, offset, message):
+        terms = [
+            AffineTerm(1.0, np.eye(2), np.zeros(2), sqrt_l2_approx(2)),
+            AffineTerm(1.0, matrix, offset, sqrt_l2_approx(2)),
+        ]
+        with pytest.raises(DimensionMismatchError, match=message):
             affine_sum(terms)
 
     def test_empty_rejected(self):

@@ -61,6 +61,11 @@ class TestExitCodes:
         path.write_text("{not json")
         assert run(["solve-sgm", "--config", str(path)]) == 2
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, STRONG)
+        assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed must be an unsigned 64-bit integer")
+
     def test_strict_schedule_exhaustion(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EXHAUSTING)
         out = tmp_path / "out"
@@ -777,6 +782,8 @@ MALFORMED_VALUES = [
     ("solve-sgm", STRONG, "schedule", "gamma", "0.5"),
     ("solve-sgf-rk45", CONTINUOUS, "run", "rtol", "1e-3"),
     ("solve-sgm", STRONG, "run", "x0", ["0", 0, 0, 0, 0, 0]),
+    # x0 is a list.
+    ("solve-sgm", STRONG, "run", "x0", 3),
 ]
 
 
@@ -792,6 +799,14 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, base,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert key in err.splitlines()[0]
+
+
+def test_integer_past_the_double_range_in_a_float_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(STRONG, schedule=dict(STRONG["schedule"], mu0=10**400)))
+    assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: schedule 'power' parameter 'mu0' must be a number, got 1000"
+    )
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -239,6 +239,13 @@ class TestRk45IllPosed:
         with pytest.raises(StiffnessError):
             integrate_rk45(prob, jumpy_mu, np.array([0.3]), 0.0, 1.0, 1e-16, 1e-30)
 
+    def test_attempt_budget_exhaustion_raises(self):
+        with pytest.raises(StiffnessError, match="no convergence within 3 attempted steps"):
+            integrate_rk45(
+                linear_decay_problem(1.0), ConstantMu(1.0), np.ones(1), 0.0, 1.0, 1e-6, 1e-9,
+                max_attempts=3,
+            )
+
     def test_non_finite_rhs_is_divergence(self):
         # A NaN stage makes every error estimate NaN; without a stage
         # check the controller would shrink h to the floor and report

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from smoothflow import (
+    AffineTerm,
     CompositeProblem,
     GradEvalCounter,
     SmoothPart,
     Xoshiro256pp,
+    affine_sum,
     lipschitz_at,
     quadratic_least_squares,
     smoothed_grad,
@@ -58,6 +60,10 @@ class TestQuadraticLeastSquares:
         with pytest.raises(DimensionMismatchError):
             quadratic_least_squares(np.eye(2), np.zeros(3))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="matrix must be non-empty"):
+            quadratic_least_squares(np.zeros((0, 2)), np.zeros(0))
+
     def test_sigma_never_exceeds_lipschitz(self):
         rng = Xoshiro256pp(11)
         for _ in range(10):
@@ -77,6 +83,26 @@ class TestCompositeProblem:
         f = quadratic_least_squares(np.eye(2), np.zeros(2))
         with pytest.raises(DimensionMismatchError):
             CompositeProblem(f=f, h=sqrt_l2_approx(3))
+
+    def test_optimum_dimension_checked(self):
+        f = quadratic_least_squares(np.eye(2), np.zeros(2))
+        with pytest.raises(DimensionMismatchError, match="optimum has the wrong dimension"):
+            CompositeProblem(f=f, h=sqrt_l2_approx(2), optimum=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "h",
+        [None, affine_sum([AffineTerm(1.0, np.eye(2), np.zeros(2), sqrt_l2_approx(2))])],
+        ids=["no-h", "affine-sum"],
+    )
+    def test_unstacked_point_checks_the_shape_of_x(self, h):
+        # A user SmoothPart is not stacked, so its points take the per-part path.
+        f = SmoothPart(
+            value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=2.0, lipschitz=2.0,
+            input_dim=2,
+        )
+        p = CompositeProblem(f=f, h=h)
+        with pytest.raises(DimensionMismatchError, match=r"expected input of shape \(2,\), got \(3,\)"):
+            p.point(np.zeros(3))
 
     def test_optimal_value_consistency_checked(self):
         f = quadratic_least_squares(np.eye(2), np.zeros(2))

@@ -55,6 +55,10 @@ class TestStepSize:
         with pytest.raises(InvalidParameterError):
             step_size(1.0, 1.0, 0.0)
 
+    def test_nonpositive_denominator_rejected(self):
+        with pytest.raises(InvalidParameterError, match="L \\+ alpha/mu must be positive"):
+            step_size(-2.0, 1.0, 1.0)
+
 
 # Finite arguments of each schedule constructor.
 SCHEDULE_ARGS = {
@@ -127,6 +131,16 @@ class TestEtaRecursion:
         # with eta identically 1 the two weighted sums coincide bit-for-bit
         assert all(st.inv_eta == 1.0 for st in states)
         assert all(st.sum_eta_s == st.scaled_sum_eta_s == st.sum_s for st in states)
+
+    def test_initial_mu_below_the_floor_is_exhaustion(self):
+        with pytest.raises(ScheduleExhaustedError, match="initial smoothing parameter"):
+            initial_state(PowerDecay(mu0=1e-301, gamma=0.5), 0.0, 1.0)
+
+    def test_step_past_the_strong_convexity_limit_rejected(self):
+        # s_0 = 1 at L = 0, alpha = mu = 1, so sigma = 1 makes 1 - sigma*s = 0.
+        st = initial_state(PowerDecay(mu0=1.0, gamma=1.0), 0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="1 - sigma\\*s must stay positive"):
+            advance(PowerDecay(mu0=1.0, gamma=1.0), st, 1.0, 0.0, 1.0)
 
     def test_single_step_discount(self):
         st = initial_state(PowerDecay(mu0=1.0, gamma=1.0), 0.0, 1.0)

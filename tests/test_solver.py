@@ -182,6 +182,10 @@ class TestRunSgm:
                     run_sgm(prob, PowerDecay(mu0=1.0, gamma=0.5), x0, 10)
             assert err.value.step == 0
 
+    def test_max_steps_validated(self, strongly_convex_problem, zero_x0):
+        with pytest.raises(InvalidParameterError, match="max_steps must be >= 1"):
+            run_sgm(strongly_convex_problem, PowerDecay(mu0=1.0, gamma=0.5), zero_x0, 0)
+
     def test_step_scale_validated(self, strongly_convex_problem, zero_x0):
         with pytest.raises(InvalidParameterError):
             run_sgm(
