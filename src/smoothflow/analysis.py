@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._linalg import kahan_cumsum
-from .errors import InvalidParameterError, InvalidSeriesError, ScheduleExhaustedError
-from .schedule import _check_params, advance, initial_state
+from .errors import InvalidParameterError, InvalidSeriesError
+from .schedule import _check_nonnegative, _check_params, _smoothness, _states
 from .solver import _gap_bound
 
 
@@ -41,9 +41,14 @@ def _check_constants(lipschitz, alpha, mu0):
 
     The message names the parameter; the check precedes any arithmetic on them.
     """
-    if not 0.0 <= lipschitz < math.inf:
-        raise InvalidParameterError(f"lipschitz must be finite and >= 0, got {lipschitz}")
+    _check_nonnegative(lipschitz=lipschitz)
     _check_params(alpha=alpha, mu0=mu0)
+
+
+def _check_k_max(k_max):
+    """Refuse a series length ``k_max`` below 1."""
+    if k_max < 1:
+        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
 
 
 def _time_recursion(lipschitz, alpha, mu):
@@ -79,7 +84,7 @@ def timeline_bounds_exponential(lipschitz, alpha, mu0, lam, k, t_delta=None):
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     _check_constants(lipschitz, alpha, mu0)
-    c_full = lipschitz + alpha / mu0
+    c_full = _smoothness(lipschitz, alpha, mu0)
     c_tail = alpha / mu0
     geo = (1.0 - lam**k) / (1.0 - lam)
     if t_delta is None:
@@ -100,12 +105,11 @@ def timeline_bounds_power(lipschitz, alpha, mu0, gamma, k, t_delta=None):
     (logarithmic time) and gamma > 1 (finite reachable time); the
     gamma != 1 formulas are one algebraic family.
     """
-    if not (gamma > 0.0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
+    _check_params(gamma=gamma)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     _check_constants(lipschitz, alpha, mu0)
-    c_full = lipschitz + alpha / mu0
+    c_full = _smoothness(lipschitz, alpha, mu0)
     c_tail = alpha / mu0
     if t_delta is None:
         t_delta = float(power_time_recursion(lipschitz, alpha, mu0, gamma, k)[k])
@@ -154,6 +158,7 @@ def timeline_table(kind, lipschitz, alpha, mu0, param, k_max):
     k, t_actual, t_lower, t_upper, mu_actual, mu_lower, mu_upper.
     """
     _check_constants(lipschitz, alpha, mu0)
+    _check_k_max(k_max)
     if kind == "exponential":
         t_delta = exponential_time_recursion(lipschitz, alpha, mu0, param, k_max)
         bounds_at = lambda k: timeline_bounds_exponential(  # noqa: E731
@@ -192,14 +197,10 @@ def discrete_bound_series(sched, sigma, lipschitz, alpha, beta, x0_dist_sq, k_ma
     ``run_sgm`` forms them per chunk, so each equals
     ``bound_discrete`` at its state bit for bit.
     """
-    state = initial_state(sched, lipschitz, alpha)
+    _check_k_max(k_max)
     ks, inv_eta, scaled_mu_s, scaled_s = [], [], [], []
-    for k in range(1, k_max + 1):
-        try:
-            state = advance(sched, state, sigma, lipschitz, alpha)
-        except ScheduleExhaustedError:
-            break
-        ks.append(k)
+    for state in _states(sched, sigma, lipschitz, alpha, k_max):
+        ks.append(state.k)
         inv_eta.append(state.inv_eta)
         scaled_mu_s.append(state.scaled_sum_eta_mu_s)
         scaled_s.append(state.scaled_sum_eta_s)
@@ -246,8 +247,8 @@ def fit_rate(series, model, window):
     vs = vs[mask]
     if ks.size < 10:
         raise InvalidSeriesError(f"window {window} contains {ks.size} points, need >= 10")
-    if np.any(vs <= 0.0):
-        raise InvalidSeriesError("series values inside the window must be positive")
+    if not np.all((vs > 0.0) & (vs < math.inf)):
+        raise InvalidSeriesError("series values inside the window must be positive and finite")
     if np.any(ks <= 1.0):
         raise InvalidSeriesError(f"model {model!r} needs k > 1 inside the window")
     if model == "power":

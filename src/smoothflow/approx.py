@@ -63,15 +63,6 @@ class SmoothApprox:
     def grad_mu(self, x, mu):
         raise NotImplementedError
 
-    def point(self, x):
-        """The approximation at one ``x``.
-
-        The result has ``value(mu)``, ``grad(mu)`` and ``exact()``, which
-        call ``value(x, mu)``, ``grad_x(x, mu)`` and ``underlying_value(x)``.
-        The shape of ``x`` is checked here.
-        """
-        return _ApproxPoint(self, self._check_input(x))
-
     def branch_distance(self, x, mu):
         """Distance from ``x`` to the nearest non-smooth formula branch.
 
@@ -88,25 +79,6 @@ class SmoothApprox:
                 f"expected input of shape ({self.input_dim},), got {x.shape}"
             )
         return x
-
-
-class _ApproxPoint:
-    """A ``SmoothApprox`` at one x through its ``value``/``grad_x`` methods."""
-
-    __slots__ = ("_approx", "_x")
-
-    def __init__(self, approx, x):
-        self._approx = approx
-        self._x = x
-
-    def value(self, mu):
-        return self._approx.value(self._x, mu)
-
-    def grad(self, mu):
-        return self._approx.grad_x(self._x, mu)
-
-    def exact(self):
-        return self._approx.underlying_value(self._x)
 
 
 def _norm(x):

@@ -50,7 +50,7 @@ from .harness import (
     trajectory_json,
 )
 from .schedule import ContinuousDriven
-from .solver import STATUS_SCHEDULE, closed_form_bound_nonstrongly, run_sgm
+from .solver import STATUS_SCHEDULE, _start, closed_form_bound_nonstrongly, run_sgm
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -254,8 +254,7 @@ def _cmd_solve_rk45(args):
 def _bound_series(cfg, problem, k_max):
     """(ks, bounds, ||x0 - x*||^2): the discrete bound series of ``cfg``'s schedule and x0."""
     sched = _schedule(cfg)
-    diff = _x0(cfg) - problem.optimum
-    d0_sq = float(diff @ diff)
+    _, d0_sq = _start(problem, _x0(cfg))
     f = problem.f
     ks, bounds = discrete_bound_series(
         sched, f.sigma, f.lipschitz, problem.alpha, problem.beta, d0_sq, k_max
@@ -276,6 +275,7 @@ def _cmd_bounds(args):
         kind = {"power": "power", "exp": "exponential"}.get(name)
     if kind is None and cfg is None:
         raise ConfigError("bounds needs --schedule and/or --config")
+    table = None
     if kind is not None:
         flag, key = _TIMELINE_PARAM[kind]
         param = getattr(args, flag)
@@ -284,12 +284,15 @@ def _cmd_bounds(args):
         if param is None:
             raise ConfigError(f"bounds --schedule {kind} needs --{key}")
         table = timeline_table(kind, args.lipschitz, args.alpha, args.mu0, param, args.k_max)
+    if cfg is not None:
+        problem = generate_problem(cfg)
+        k_max = _run_param(cfg, "max_steps", int, args.k_max)
+        ks, bounds, d0_sq = _bound_series(cfg, problem, k_max)
+    # Both series are formed before either file is written, so a refused input leaves none.
+    if table is not None:
         _write(os.path.join(out, "timeline_bounds.csv"), timeline_csv(table))
     if cfg is None:
         return _EXIT_OK
-    problem = generate_problem(cfg)
-    k_max = _run_param(cfg, "max_steps", int, args.k_max)
-    ks, bounds, d0_sq = _bound_series(cfg, problem, k_max)
     ks_list = ks.tolist()
     columns, row, fields = ["k", "bound"], "%d,%.17g", [ks_list, bounds.tolist()]
     params = cfg.schedule

@@ -15,14 +15,13 @@ import numpy as np
 
 from ._linalg import adaptive_simpson, chord_weights, lower, upper
 from .errors import (
-    DimensionMismatchError,
     IllPosedIntervalError,
     InvalidParameterError,
     NumericalDivergenceError,
     StiffnessError,
     UndefinedBoundError,
 )
-from .problem import GradEvalCounter, smoothed_grad, smoothed_value
+from .problem import GradEvalCounter, smoothed_grad
 from .schedule import (
     ConstantMu,
     ContinuousDriven,
@@ -32,7 +31,7 @@ from .schedule import (
     _exp_or_inf,
     _expm1_or_inf,
 )
-from .solver import _Chunk, _lyapunov, _records, run_sgm
+from .solver import _Chunk, _lyapunov_at, _records, _start, run_sgm
 
 # Dormand-Prince 4(5): classic 7-stage tableau with the first-same-as-last
 # property. The last row of a is b5 without its zero weight, so the
@@ -111,23 +110,13 @@ def lyapunov_continuous(problem, x, t, t0, sigma, beta, mu_of_t):
            + I_sigma(t) * (F(x, mu(t)) + beta mu(t) - F(x*, mu(t))),
     with I_sigma(t) = (exp(sigma (t-t0)) - 1)/sigma, or t - t0 at sigma 0.
     """
-    opt = problem.require_optimum()
+    problem.require_optimum()
     if t < t0:
         raise InvalidParameterError("t must be >= t0")
     mu = float(mu_of_t(t))
-    x = np.asarray(x, dtype=float)
     delta = t - t0
-    return float(
-        _lyapunov(
-            x,
-            opt,
-            _exp_or_inf(sigma * delta),
-            _sigma_integral(sigma, delta),
-            smoothed_value(problem, x, mu),
-            beta,
-            mu,
-            smoothed_value(problem, opt, mu),
-        )
+    return _lyapunov_at(
+        problem, x, _exp_or_inf(sigma * delta), _sigma_integral(sigma, delta), beta, mu
     )
 
 
@@ -269,12 +258,8 @@ def integrate_rk45(
         raise InvalidParameterError("rtol and atol must be > 0")
     if counter is None:
         counter = GradEvalCounter()
-    x = np.array(x0, dtype=float).reshape(-1)
+    x, x0_dist_sq = _start(problem, x0)
     n = x.shape[0]
-    if n != problem.input_dim:
-        raise DimensionMismatchError(
-            f"x0 has dimension {n}, problem expects {problem.input_dim}"
-        )
     sigma = problem.f.sigma
     beta = problem.beta
     opt = problem.optimum
@@ -334,9 +319,6 @@ def integrate_rk45(
     # A non-finite stage (or a start far from x*) overflows quietly and is
     # reported below, as NumericalDivergenceError, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if opt is not None:
-            diff0 = x - opt
-            x0_dist_sq = float(diff0 @ diff0)
         # One point per run, moved to each stage: the stage gradient and, once
         # the state is accepted, its sample read the same residuals.
         point = problem.point(x)

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedOperationError,
 )
+from .schedule import _check_nonnegative, _smoothness
 
 # Gram eigenvalues below this fraction of the largest are treated as zero;
 # rank-deficient least squares then reports sigma = 0.
@@ -78,8 +79,7 @@ class SmoothPart:
     )
 
     def __post_init__(self):
-        if self.sigma < 0.0 or self.lipschitz < 0.0:
-            raise InvalidParameterError("sigma and lipschitz must be >= 0")
+        _check_nonnegative(sigma=self.sigma, lipschitz=self.lipschitz)
         if self.sigma > self.lipschitz:
             raise InvalidParameterError(
                 f"sigma ({self.sigma}) cannot exceed lipschitz ({self.lipschitz})"
@@ -277,19 +277,16 @@ class CompositePoint:
     ``f.grad + h.grad_x``, which sum two products. The values sum the
     rows of ``r`` with the kernels a run's monitors (``solver._Chunk``)
     run on a chunk of rows. Any other problem (a user ``SmoothPart`` or
-    ``SmoothApprox`` subclass, or ``affine_sum``) asks its parts' own
-    points, ``f.point(x)`` and ``h.point(x)``, for every value, and
-    ``move`` builds a fresh point.
+    ``SmoothApprox`` subclass, or ``affine_sum``) asks f's own point,
+    ``f.point(x)``, and h's ``value``, ``grad_x`` and ``underlying_value``
+    at ``x`` for every value, and ``move`` builds a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
-    checked on every formation, here or by ``h``'s point, and ``mu`` here
-    on every read.
+    checked here on every formation, and ``mu`` on every read.
     """
 
-    __slots__ = (
-        "x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f", "_h"
-    )
+    __slots__ = ("x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f")
 
     def __init__(self, problem, x):
         self._problem = problem
@@ -303,11 +300,10 @@ class CompositePoint:
             self.move(x)
             return
         x = np.asarray(x, dtype=float)
-        if problem.h is None and x.shape != (problem.input_dim,):
+        if x.shape != (problem.input_dim,):
             raise DimensionMismatchError(
                 f"expected input of shape ({problem.input_dim},), got {x.shape}"
             )
-        self._h = None if problem.h is None else problem.h.point(x)
         self._f = problem.f.point(x)
         self.x = x
 
@@ -346,26 +342,29 @@ class CompositePoint:
             if stacked.kernel is not None:
                 stacked.kernel.coeff(self._r_c, mu, self._w_c)
             return stacked.mt.dot(self._w)
-        if self._h is None:
+        h = self._problem.h
+        if h is None:
             return self._f.grad()
-        return self._f.grad() + self._h.grad(mu)
+        return self._f.grad() + h.grad_x(self.x, mu)
 
     def smoothed(self, mu):
         """F(x, mu) = f(x) + h_tilde(x, mu)."""
         _check_mu(mu)
         if self._stacked is not None:
             return float(self._stacked.smoothed(self._r, mu))
-        if self._h is None:
+        h = self._problem.h
+        if h is None:
             return float(self._f.value())
-        return float(self._f.value() + self._h.value(mu))
+        return float(self._f.value() + h.value(self.x, mu))
 
     def exact(self):
         """F(x) with the exact h."""
         if self._stacked is not None:
             return float(self._stacked.exact(self._r))
-        if self._h is None:
+        h = self._problem.h
+        if h is None:
             return float(self._f.value())
-        return float(self._f.value() + self._h.exact())
+        return float(self._f.value() + h.underlying_value(self.x))
 
 
 def smoothed_value(problem, x, mu):
@@ -392,5 +391,5 @@ def smoothed_grad(problem, x, mu, counter=None):
 def lipschitz_at(problem, mu):
     """Smoothness constant of F(., mu): L + alpha/mu."""
     _check_mu(mu)
-    return problem.f.lipschitz + problem.alpha / mu
+    return _smoothness(problem.f.lipschitz, problem.alpha, mu)
 

@@ -38,6 +38,14 @@ def _check_params(t0=0.0, **positive):
     if not math.isfinite(t0):
         raise InvalidParameterError(f"t0 must be finite, got {t0}")
 
+
+def _check_nonnegative(**values):
+    """Refuse, by name, a value not finite and >= 0."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _exp_or_inf(log_value):
     """exp(log_value), or inf once the value is past the double range."""
     try:
@@ -54,11 +62,16 @@ def _expm1_or_inf(x):
         return math.inf
 
 
+def _smoothness(lipschitz, alpha, mu):
+    """L + alpha/mu: the smoothness constant of F(., mu), the reciprocal of the stepsize."""
+    return lipschitz + alpha / mu
+
+
 def step_size(lipschitz, alpha, mu):
     """Stepsize 1/(L + alpha/mu); always in (0, mu/alpha]."""
     if not (mu > 0.0):
         raise InvalidParameterError(f"mu must be > 0, got {mu}")
-    denom = lipschitz + alpha / mu
+    denom = _smoothness(lipschitz, alpha, mu)
     if not (denom > 0.0):
         raise InvalidParameterError("L + alpha/mu must be positive")
     return 1.0 / denom
@@ -393,6 +406,17 @@ def advance(sched, state, sigma, lipschitz, alpha):
     )
 
 
+def _states(sched, sigma, lipschitz, alpha, k_max):
+    """The recursion's states for k = 1..k_max; stops where the schedule exhausts."""
+    state = initial_state(sched, lipschitz, alpha)
+    for _ in range(k_max):
+        try:
+            state = advance(sched, state, sigma, lipschitz, alpha)
+        except ScheduleExhaustedError:
+            return
+        yield state
+
+
 def eta_lower_bound(state, sigma):
     """exp(sigma * sum of stepsizes), a lower bound on eta_k; inf past the double range."""
     return _exp_or_inf(sigma * state.sum_s)
@@ -431,22 +455,13 @@ def sum_divergence_equivalent(sched, sigma, lipschitz, alpha, horizon):
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    state = initial_state(sched, lipschitz, alpha)
-    sum_s = np.zeros(horizon + 1)
-    sum_eta_s = np.zeros(horizon + 1)
-    steps = horizon
-    for k in range(1, horizon + 1):
-        try:
-            state = advance(sched, state, sigma, lipschitz, alpha)
-        except ScheduleExhaustedError:
-            steps = k - 1
-            sum_s = sum_s[: steps + 1]
-            sum_eta_s = sum_eta_s[: steps + 1]
-            break
-        sum_s[k] = state.sum_s
-        sum_eta_s[k] = state.sum_eta_s
+    sum_s, sum_eta_s = [0.0], [0.0]
+    for state in _states(sched, sigma, lipschitz, alpha, horizon):
+        sum_s.append(state.sum_s)
+        sum_eta_s.append(state.sum_eta_s)
+    sum_s, sum_eta_s = np.array(sum_s), np.array(sum_eta_s)
     return SumDivergenceReport(
-        horizon=steps,
+        horizon=len(sum_s) - 1,
         sum_s_series=sum_s,
         sum_eta_s_series=sum_eta_s,
         sum_s_verdict=_growth_verdict(sum_s),

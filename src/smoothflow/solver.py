@@ -22,7 +22,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
-from .schedule import _times_eta, advance, initial_state
+from .schedule import _smoothness, _times_eta, advance, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
@@ -92,26 +92,25 @@ def _lyapunov(x, opt, weight, integral, f_tilde, beta, mu, f_tilde_opt):
         return dist_term + np.where(gap != 0.0, integral * gap, 0.0)
 
 
+def _lyapunov_at(problem, x, weight, integral, beta, mu):
+    """``_lyapunov`` at one ``x`` as a float; the problem's optimum must be known.
+
+    F(x, mu) and F(x*, mu) are read through ``smoothed_value``.
+    """
+    x = np.asarray(x, dtype=float)
+    opt = problem.optimum
+    f_tilde, f_tilde_opt = smoothed_value(problem, x, mu), smoothed_value(problem, opt, mu)
+    return float(_lyapunov(x, opt, weight, integral, f_tilde, beta, mu, f_tilde_opt))
+
+
 def lyapunov_discrete(problem, state, x):
     """Lyapunov certificate at (state.k, x).
 
     V = eta_k/2 * ||x - x*||^2
         + (sum eta_{kappa+1} s_kappa) * (F(x, mu_k) + beta*mu_k - F(x*, mu_k)).
     """
-    opt = problem.require_optimum()
-    x = np.asarray(x, dtype=float)
-    return float(
-        _lyapunov(
-            x,
-            opt,
-            state.eta,
-            state.sum_eta_s,
-            smoothed_value(problem, x, state.mu),
-            problem.beta,
-            state.mu,
-            smoothed_value(problem, opt, state.mu),
-        )
-    )
+    problem.require_optimum()
+    return _lyapunov_at(problem, x, state.eta, state.sum_eta_s, problem.beta, state.mu)
 
 
 # Recorded values are evaluated a chunk at a time: a chunk is flushed once
@@ -261,7 +260,7 @@ def closed_form_bound_nonstrongly(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq
     if k < 1:
         raise UndefinedBoundError("the closed-form bound is defined for k >= 1")
     k = float(k)
-    c = lipschitz + alpha / mu0
+    c = _smoothness(lipschitz, alpha, mu0)
     half_dist = 0.5 * x0_dist_sq
     mu_term = beta * mu0 * mu0 / alpha
     if gamma == 0.5:
@@ -276,6 +275,24 @@ def closed_form_bound_nonstrongly(lipschitz, alpha, beta, mu0, gamma, x0_dist_sq
         )
         denominator = ((k + 1.0) ** (1.0 - gamma) - 1.0) / (c * (1.0 - gamma))
     return numerator / denominator
+
+
+def _start(problem, x0):
+    """``x0`` as a float vector of the problem's dimension, and ||x0 - x*||^2.
+
+    The distance is NaN when the optimum is unknown; it overflows to inf
+    quietly, for a start far from x*.
+    """
+    x = np.array(x0, dtype=float).reshape(-1)
+    if x.shape[0] != problem.input_dim:
+        raise DimensionMismatchError(
+            f"x0 has dimension {x.shape[0]}, problem expects {problem.input_dim}"
+        )
+    if problem.optimum is None:
+        return x, math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x - problem.optimum
+        return x, float(diff @ diff)
 
 
 def run_sgm(
@@ -324,11 +341,7 @@ def run_sgm(
         raise InvalidParameterError("step_scale must be in (0, 1]")
     if record_stride < 1:
         raise InvalidParameterError(f"record_stride must be >= 1, got {record_stride}")
-    x = np.array(x0, dtype=float).reshape(-1)
-    if x.shape[0] != problem.input_dim:
-        raise DimensionMismatchError(
-            f"x0 has dimension {x.shape[0]}, problem expects {problem.input_dim}"
-        )
+    x, x0_dist_sq = _start(problem, x0)
     sigma = problem.f.sigma
     lipschitz = problem.f.lipschitz
     alpha = problem.alpha
@@ -363,9 +376,6 @@ def run_sgm(
     # caught by the finiteness test below, as NumericalDivergenceError,
     # not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if opt is not None:
-            diff0 = x - opt
-            x0_dist_sq = float(diff0 @ diff0)
         # One point per run, moved to each iterate: the charged gradient and,
         # on a recorded step, the monitors read the same residuals.
         point = problem.point(x)

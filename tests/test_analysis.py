@@ -92,6 +92,13 @@ class TestPowerBounds:
         with pytest.raises(InvalidParameterError):
             timeline_bounds_power(0.0, 1.0, 1.0, 0.5, 0)
 
+    def test_infinite_gamma_is_refused(self):
+        # It made every t_upper NaN.
+        with pytest.raises(InvalidParameterError, match="^gamma must be finite and > 0, got inf"):
+            timeline_bounds_power(0.0, 1.0, 1.0, math.inf, 5)
+        with pytest.raises(InvalidParameterError, match="^gamma must be finite and > 0, got inf"):
+            timeline_table("power", 0.0, 1.0, 1.0, math.inf, 3)
+
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0, 2.0])
     @pytest.mark.parametrize("constants", [(0.0, 1.0, 1.0), (2.5, 3.7, 0.8)])
     def test_sandwiches_hold_against_recursion(self, gamma, constants):
@@ -197,6 +204,13 @@ class TestFitRate:
         with pytest.raises(InvalidParameterError):
             fit_rate(series, "cubic", (10, 100))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        # NaN passed the positivity test and gave a NaN exponent.
+        series = [(k, bad if k == 50 else 1.0 / k) for k in range(1, 200)]
+        with pytest.raises(InvalidSeriesError, match="must be positive and finite"):
+            fit_rate(series, "power", (2, 199))
+
     def test_power_model_requires_k_above_one(self):
         series = [(k, 1.0 / (k + 1)) for k in range(1, 50)]
         with pytest.raises(InvalidSeriesError):
@@ -292,6 +306,20 @@ def test_bound_series_equals_bound_discrete_per_state(sched, sigma):
     assert ks.dtype.kind == "i" and bounds.dtype == np.float64
     assert ks.tolist() == list(range(1, len(expected) + 1))
     assert [b.hex() for b in bounds.tolist()] == [b.hex() for b in expected]
+
+
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_series_lengths_below_one_are_refused(k_max):
+    # Each used to return an empty table.
+    sched = PowerDecay(mu0=1.0, gamma=0.5)
+    calls = [
+        lambda: timeline_table("power", 0.0, 1.0, 1.0, 0.5, k_max),
+        lambda: timeline_table("exponential", 0.0, 1.0, 1.0, 0.5, k_max),
+        lambda: discrete_bound_series(sched, 0.0, 0.0, 1.0, 1.0, 2.0, k_max),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match=f"^k_max must be >= 1, got {k_max}"):
+            call()
 
 
 def test_bound_series_is_empty_when_the_schedule_exhausts_at_once():

@@ -131,7 +131,6 @@ PUBLIC_MEMBERS = {
         "branch_distance": "(self, x, mu)",
         "grad_mu": "(self, x, mu)",
         "grad_x": "(self, x, mu)",
-        "point": "(self, x)",
         "underlying_value": "(self, x)",
         "value": "(self, x, mu)",
     },

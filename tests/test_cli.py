@@ -107,6 +107,7 @@ class TestExitCodes:
             ("--mu0", "-1", "> 0"),
             ("--alpha", "-1", "> 0"),
             ("--lipschitz", "-3", ">= 0"),
+            ("--gamma", "inf", "> 0"),
         ],
     )
     def test_bounds_timeline_flag_out_of_range(self, tmp_path, capsys, flag, value, rule):
@@ -114,6 +115,23 @@ class TestExitCodes:
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:]} must be finite and {rule}, got ")
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_bounds_k_max_below_one(self, tmp_path, capsys, k_max):
+        # It wrote a table with a header and no rows, and exited 0.
+        out = tmp_path / "o"
+        argv = ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", k_max]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: k_max must be >= 1, got {k_max}")
+        assert not any(out.iterdir())
+
+    def test_bounds_config_without_steps(self, tmp_path, capsys):
+        # solve-sgm refused this config; bounds wrote both tables and exited 0.
+        cfg = write_config(tmp_path, dict(STRONG, run={"max_steps": 0}))
+        out = tmp_path / "o"
+        assert run(["bounds", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: k_max must be >= 1, got 0")
+        assert not any(out.iterdir())
 
 
 class TestOutputs:

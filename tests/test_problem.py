@@ -77,6 +77,15 @@ class TestSmoothPart:
         with pytest.raises(InvalidParameterError):
             SmoothPart(value=lambda x: 0.0, grad=lambda x: x, sigma=2.0, lipschitz=1.0, input_dim=1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["sigma", "lipschitz"])
+    def test_non_finite_curvature_rejected(self, field, value):
+        # An infinite L made every step 0 long; a NaN failed later, unnamed.
+        constants = dict({"sigma": 0.0, "lipschitz": math.inf}, **{field: value})
+        message = f"^{field} must be finite and >= 0, got {value}"
+        with pytest.raises(InvalidParameterError, match=message):
+            SmoothPart(value=lambda x: 0.0, grad=lambda x: x, input_dim=1, **constants)
+
 
 class TestCompositeProblem:
     def test_dimension_agreement_enforced(self):

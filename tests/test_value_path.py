@@ -1,12 +1,11 @@
 """Property tests for the partial-evaluation path ``point(x)``.
 
-``SmoothApprox.point(x)`` gives ``value(mu)`` and ``exact()``, and
 ``CompositeProblem.point(x)`` gives ``smoothed(mu)`` and ``exact()``.
 A stacked problem's point forms one residual ``M x - e`` for the
-gradient and every value; a built-in surrogate's point calls its
-``value`` and ``underlying_value``, each of which forms ``C x - d``.
-The solvers' monitors read every recorded value through these points
-or, on a stacked problem, through the same kernels on a chunk of rows.
+gradient and every value; any other problem's point calls h's
+``value`` and ``underlying_value`` at ``x``. The solvers' monitors read
+every recorded value through these points or, on a stacked problem,
+through the same kernels on a chunk of rows.
 """
 
 import numpy as np
@@ -73,9 +72,7 @@ def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoothing, mu, scale)
     rng = np.random.default_rng(seed)
     h, c, d = stacked_sum(rng, n_x, n_terms, smoothing)
     x = scale * rng.standard_normal(n_x)
-    point = h.point(x)
-    value_at, exact = point.value, point.exact()
-    assert (value_at(mu), exact) == (h.value(x, mu), h.underlying_value(x))
+    value, exact = h.value(x, mu), h.underlying_value(x)
     # Against the 1-d smoothers row by row. The term sums in another
     # order and uses numpy's hypot, and sqrt(r^2 + mu^2) - mu cancels,
     # so the tolerance is relative to the rows' magnitude.
@@ -84,20 +81,8 @@ def test_stacked_sum_matches_its_terms(seed, n_x, n_terms, smoothing, mu, scale)
     scale_sum = sum(abs(r) + mu for r in residuals)
     ref_value = sum(inner.value(np.array([r]), mu) for r in residuals)
     ref_exact = sum(abs(r) for r in residuals)
-    assert abs(value_at(mu) - ref_value) <= 1e-12 * scale_sum
+    assert abs(value - ref_value) <= 1e-12 * scale_sum
     assert exact == pytest.approx(ref_exact, rel=1e-12, abs=1e-300)
-
-
-@PROPERTY
-@given(seeds, dims, st.integers(min_value=1, max_value=5), mus, x_scales)
-def test_generic_sum_matches_value_and_underlying(seed, n_x, n_terms, mu, scale):
-    rng = np.random.default_rng(seed)
-    h = generic_sum(rng, n_x, n_terms)
-    x = scale * rng.standard_normal(n_x)
-    point = h.point(x)
-    value_at, exact = point.value, point.exact()
-    assert value_at(mu) == pytest.approx(h.value(x, mu), rel=1e-12, abs=1e-300)
-    assert exact == pytest.approx(h.underlying_value(x), rel=1e-12, abs=1e-300)
 
 
 @PROPERTY
