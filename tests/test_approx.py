@@ -125,7 +125,8 @@ def test_invalid_dimension_rejected(factory):
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
 def test_wrong_shape_input_rejected(factory):
-    with pytest.raises(DimensionMismatchError, match=r"expected input of shape \(2,\), got \(3,\)"):
+    message = r"expected input of shape \(2,\), got \(3,\)"
+    with pytest.raises(DimensionMismatchError, match=message):
         factory(2).value(np.zeros(3), 1.0)
 
 

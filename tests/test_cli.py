@@ -63,7 +63,8 @@ class TestExitCodes:
 
     def test_negative_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STRONG)
-        assert run(["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        argv = ["solve-sgm", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: --seed must be an unsigned 64-bit integer")
 
     def test_strict_schedule_exhaustion(self, tmp_path, capsys):
@@ -800,7 +801,7 @@ MALFORMED_VALUES = [
     ("solve-sgm", STRONG, "schedule", "gamma", "0.5"),
     ("solve-sgf-rk45", CONTINUOUS, "run", "rtol", "1e-3"),
     ("solve-sgm", STRONG, "run", "x0", ["0", 0, 0, 0, 0, 0]),
-    # x0 is a list.
+    # x0 must be a list.
     ("solve-sgm", STRONG, "run", "x0", 3),
 ]
 

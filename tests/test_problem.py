@@ -110,7 +110,8 @@ class TestCompositeProblem:
             input_dim=2,
         )
         p = CompositeProblem(f=f, h=h)
-        with pytest.raises(DimensionMismatchError, match=r"expected input of shape \(2,\), got \(3,\)"):
+        message = r"expected input of shape \(2,\), got \(3,\)"
+        with pytest.raises(DimensionMismatchError, match=message):
             p.point(np.zeros(3))
 
     def test_optimal_value_consistency_checked(self):
