@@ -51,6 +51,12 @@ def _check_k_max(k_max):
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
 
 
+def _check_lambda(lam):
+    """Refuse an exponential decay rate ``lam`` outside (0, 1)."""
+    if not (0.0 < lam < 1.0):
+        raise InvalidParameterError(f"lambda must be in (0, 1), got {lam}")
+
+
 def _time_recursion(lipschitz, alpha, mu):
     """Elapsed times t_k - t_0, k = 0..len(mu), of the stepsizes along ``mu``.
 
@@ -79,8 +85,7 @@ def timeline_bounds_exponential(lipschitz, alpha, mu0, lam, k, t_delta=None):
     ``t_delta`` is the elapsed time t_k - t_0 at which the mu lines are
     evaluated; by default the exact recursion value is used.
     """
-    if not (0.0 < lam < 1.0):
-        raise InvalidParameterError(f"lambda must be in (0, 1), got {lam}")
+    _check_lambda(lam)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     _check_constants(lipschitz, alpha, mu0)
@@ -160,12 +165,14 @@ def timeline_table(kind, lipschitz, alpha, mu0, param, k_max):
     _check_constants(lipschitz, alpha, mu0)
     _check_k_max(k_max)
     if kind == "exponential":
+        _check_lambda(param)
         t_delta = exponential_time_recursion(lipschitz, alpha, mu0, param, k_max)
         bounds_at = lambda k: timeline_bounds_exponential(  # noqa: E731
             lipschitz, alpha, mu0, param, k, t_delta=float(t_delta[k])
         )
         mu_actual = mu0 * param ** np.arange(1, k_max + 1, dtype=float)
     elif kind == "power":
+        _check_params(gamma=param)
         t_delta = power_time_recursion(lipschitz, alpha, mu0, param, k_max)
         bounds_at = lambda k: timeline_bounds_power(  # noqa: E731
             lipschitz, alpha, mu0, param, k, t_delta=float(t_delta[k])

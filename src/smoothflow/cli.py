@@ -12,8 +12,9 @@ Subcommands:
 * ``rate-fit``        fit a decay model to the analytical bound series
 * ``compare``         SGM vs adaptive flow at a matched gradient budget
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical
-divergence, 4 schedule exhaustion under ``--strict``.
+Exit codes: 0 success, 2 configuration/usage error (an input too large
+to fit in memory too), 3 numerical divergence, 4 schedule exhaustion
+under ``--strict``.
 """
 
 import argparse
@@ -392,6 +393,9 @@ def cli_main(argv):
         return _EXIT_DIVERGED
     except SmoothflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as exc:  # an input sized past memory, such as a huge --k-max
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_CONFIG
 
 

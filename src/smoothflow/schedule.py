@@ -406,9 +406,13 @@ def advance(sched, state, sigma, lipschitz, alpha):
     )
 
 
-def _states(sched, sigma, lipschitz, alpha, k_max):
-    """The recursion's states for k = 1..k_max; stops where the schedule exhausts."""
-    state = initial_state(sched, lipschitz, alpha)
+def _states(sched, sigma, lipschitz, alpha, k_max, state=None):
+    """The recursion's ``k_max`` states after ``state`` (by default the initial state).
+
+    Each is formed only when it is asked for; stops where the schedule exhausts.
+    """
+    if state is None:
+        state = initial_state(sched, lipschitz, alpha)
     for _ in range(k_max):
         try:
             state = advance(sched, state, sigma, lipschitz, alpha)

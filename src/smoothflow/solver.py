@@ -18,11 +18,10 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NumericalDivergenceError,
-    ScheduleExhaustedError,
     UndefinedBoundError,
 )
 from .problem import GradEvalCounter, smoothed_grad, smoothed_value
-from .schedule import _smoothness, _times_eta, advance, initial_state
+from .schedule import _smoothness, _states, _times_eta, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
@@ -114,7 +113,7 @@ def lyapunov_discrete(problem, state, x):
 
 
 # Recorded values are evaluated a chunk at a time: a chunk is flushed once
-# the x and residual rows it stacks reach this many floats (128 KB), so the
+# its records' x and residual rows reach this many floats (128 KB), so the
 # monitors' memory does not grow with the number of records. Chunks four
 # times larger were no faster and left a larger peak RSS.
 _CHUNK_FLOATS = 1 << 14
@@ -123,10 +122,10 @@ _CHUNK_FLOATS = 1 << 14
 class _Chunk:
     """Recorded points of one run, evaluated a bounded chunk at a time.
 
-    ``add(point, *entry)`` copies the point's x row and, on a stacked
-    problem, its residual row into buffers allocated once per run, so
-    the point may move on (any other problem's points are kept), and
-    queues ``(point.x, *entry)``. ``flush`` hands the queued entries to
+    ``add(point, *entry)`` queues ``(point.x, *entry)``; the run never
+    mutates that x. On a stacked problem it copies the point's residual
+    row into a buffer allocated once per run, so the point may move on
+    (any other problem's points are kept). ``flush`` hands them to
     ``columns``, which returns the chunk's mu, the certificate's weight
     and integral (unused when the optimum is unknown), each an array
     with one entry per record, and ``build(f_tilde, f_true, lyapunov)``,
@@ -134,18 +133,18 @@ class _Chunk:
     ``flush`` reads F(x, mu) and F(x) in one pass over the rows
     (``_Stacked.smoothed`` and ``exact``, whose sums are one
     ``np.add.reduce`` per row, as for a point alone) and the Lyapunov
-    values in one ``_lyapunov`` call, so each value equals its
-    single-point function's bit for bit. F(x*, mu) is one float per run
-    when x*'s h rows are exactly 0, as at x* of every generated problem:
-    every built-in kernel reads exactly 0 on a zero residual (for
-    example hypot(0, mu) - mu) at every finite mu > 0, so F(x*, mu) =
-    F(x*). Otherwise each flush reads x*'s row against the chunk's mu
-    column. A run flushes once more at its end.
+    values in one ``_lyapunov`` call on the stacked x rows, so each
+    value equals its single-point function's bit for bit. F(x*, mu) is
+    one float per run when x*'s h rows are exactly 0, as at x* of every
+    generated problem: every built-in kernel reads exactly 0 on a zero
+    residual (for example hypot(0, mu) - mu) at every finite mu > 0, so
+    F(x*, mu) = F(x*). Otherwise each flush reads x*'s row against the
+    chunk's mu column. A run flushes once more at its end.
     """
 
     __slots__ = (
-        "records", "_columns", "_stacked", "_beta", "_opt", "_opt_point", "_opt_value", "_x",
-        "_rows", "_points", "_pending", "_cap",
+        "records", "_columns", "_stacked", "_beta", "_opt", "_opt_point", "_opt_value", "_rows",
+        "_points", "_pending", "_cap",
     )
 
     def __init__(self, problem, first_point, columns):
@@ -162,7 +161,6 @@ class _Chunk:
         n = first_point.x.size
         row = 0 if stacked is None else first_point._r.size
         self._cap = max(1, _CHUNK_FLOATS // (n + row))
-        self._x = np.empty((self._cap, n))
         self._rows = None if stacked is None else np.empty((self._cap, row))
         self._points = []
         self._pending = []
@@ -170,7 +168,6 @@ class _Chunk:
     def add(self, point, *entry):
         pending = self._pending
         i = len(pending)
-        self._x[i] = point.x
         if self._rows is None:
             self._points.append(point)
         else:
@@ -206,8 +203,9 @@ class _Chunk:
                     f_tilde_opt = np.array([opt.smoothed(m) for m in mu.tolist()])
                 else:
                     f_tilde_opt = stacked.smoothed(opt._r[None], mu[:, None])
+            xs = np.array([entry[0] for entry in pending])
             lyap = _lyapunov(
-                self._x[:n], self._opt, weight, integral, f_tilde, self._beta, mu, f_tilde_opt
+                xs, self._opt, weight, integral, f_tilde, self._beta, mu, f_tilde_opt
             ).tolist()
         self.records.extend(build(f_tilde.tolist(), f_true.tolist(), lyap))
         self._points = []
@@ -303,7 +301,6 @@ def run_sgm(
     grad_eval_budget=None,
     grad_tol=None,
     record_stride=1,
-    step_scale=1.0,
     counter=None,
 ):
     """Run the smoothing gradient method.
@@ -318,15 +315,14 @@ def run_sgm(
     grad_tol : optional stop threshold on the smoothed gradient norm
     record_stride : keep every stride-th record (first and last always);
         an integer >= 1
-    step_scale : experimental stepsize factor in (0, 1]; the analytical
-        bounds are only guaranteed at 1.0
     counter : optional externally owned ``GradEvalCounter``
 
     Returns a ``Trajectory``; schedule exhaustion ends the run with
-    status ``schedule-exhausted`` rather than raising.
+    status ``schedule-exhausted`` rather than raising. The states come
+    from ``schedule._states``, each formed as the run reaches it.
 
-    A recorded step queues its point's x and residual rows, its
-    ``ScheduleState``, gradient norm and evaluation count. The monitors
+    A recorded step queues its iterate x, a copy of its residual row,
+    its ``ScheduleState``, gradient norm and evaluation count. The monitors
     (F(x, mu), F(x), F(x*, mu), eta, sum eta s, the Lyapunov value and
     the bound) are evaluated a chunk of records at a time, once the
     chunk's x and residual rows reach ``_CHUNK_FLOATS`` and at the end
@@ -337,8 +333,6 @@ def run_sgm(
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
-    if not (0.0 < step_scale <= 1.0):
-        raise InvalidParameterError("step_scale must be in (0, 1]")
     if record_stride < 1:
         raise InvalidParameterError(f"record_stride must be >= 1, got {record_stride}")
     x, x0_dist_sq = _start(problem, x0)
@@ -371,6 +365,7 @@ def run_sgm(
         return np.array(mu), eta, sum_eta_s, build
 
     state = initial_state(sched, lipschitz, alpha)
+    upcoming = _states(sched, sigma, lipschitz, alpha, max_steps, state)
     status = STATUS_BUDGET
     # A diverging run (or a start far from x*) overflows quietly and is
     # caught by the finiteness test below, as NumericalDivergenceError,
@@ -386,13 +381,11 @@ def run_sgm(
             stopping = k >= max_steps or (
                 grad_eval_budget is not None and counter.count >= grad_eval_budget
             )
-            next_state = None
             if not stopping:
                 # Peek the schedule first: on exhaustion the run ends at the
                 # current iterate and the gradient below is diagnostic only.
-                try:
-                    next_state = advance(sched, state, sigma, lipschitz, alpha)
-                except ScheduleExhaustedError:
+                next_state = next(upcoming, None)
+                if next_state is None:
                     stopping = True
                     status = STATUS_SCHEDULE
             charged = not stopping
@@ -412,7 +405,7 @@ def run_sgm(
                 chunk.add(point, state, grad_norm, evals)
             if stopping:
                 break
-            x = x - step_scale * state.s * g
+            x = x - state.s * g
             state = next_state
             point = point.move(x)
         chunk.flush()

@@ -75,7 +75,7 @@ PACKAGE_API = {
     "quadratic_least_squares": "(a, b)",
     "run_sgm": (
         "(problem, sched, x0, max_steps, grad_eval_budget=None, grad_tol=None, "
-        "record_stride=1, step_scale=1.0, counter=None)"
+        "record_stride=1, counter=None)"
     ),
     "smoothed_grad": "(problem, x, mu, counter=None)",
     "smoothed_value": "(problem, x, mu)",

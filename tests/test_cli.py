@@ -134,6 +134,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: k_max must be >= 1, got 0")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("lam", ["2", "inf"])
+    def test_bounds_lambda_out_of_range_is_refused_quietly(self, tmp_path, capsys, lam):
+        # numpy printed four RuntimeWarnings before the refusal.
+        argv = ["bounds", "--schedule", "exponential", "--lambda", lam, "--k-max", "2000"]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: lambda must be in (0, 1), got {float(lam)}\n"
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"), ("", "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_maps_to_two(self, tmp_path, monkeypatch, capsys, message, line):
+        # --k-max 1000000000000 asked numpy for 7.28 TiB, and its MemoryError escaped.
+        from smoothflow import cli
+
+        def exhaust(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "timeline_table", exhaust)
+        argv = ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", "1000000000000"]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
 
 class TestOutputs:
     def test_generate_writes_problem_json(self, tmp_path):

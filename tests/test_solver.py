@@ -7,8 +7,10 @@ import pytest
 
 from smoothflow import (
     CompositeProblem,
+    ContinuousDriven,
     ExpDecay,
     GradEvalCounter,
+    LinearMu,
     PowerDecay,
     SmoothPart,
     advance,
@@ -24,6 +26,7 @@ from smoothflow import (
 from smoothflow.errors import (
     InvalidParameterError,
     NumericalDivergenceError,
+    ScheduleExhaustedError,
     UndefinedBoundError,
     UnsupportedOperationError,
 )
@@ -53,7 +56,53 @@ class _ConstantMuSchedule:
         return f"frozen(mu0={self.mu0:g})"
 
 
+class _CountingMu:
+    """mu(t) = 1 - rate * t, recording every t at which it is read."""
+
+    def __init__(self, rate):
+        self.inner = LinearMu(1.0, rate)
+        self.times = []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.inner(t)
+
+
+def reference_reads(problem, rate, stop):
+    """(times read, last k) by ``initial_state`` then ``advance`` up to k = stop or exhaustion."""
+    mu = _CountingMu(rate)
+    sched = ContinuousDriven(mu)
+    state = initial_state(sched, problem.f.lipschitz, problem.alpha)
+    while state.k < stop:
+        try:
+            state = advance(sched, state, problem.f.sigma, problem.f.lipschitz, problem.alpha)
+        except ScheduleExhaustedError:
+            break
+    return mu.times, state.k
+
+
 class TestRunSgm:
+    @pytest.mark.parametrize(
+        "rate, kwargs, stop, status",
+        [
+            (1.0, {"max_steps": 40}, 40, STATUS_BUDGET),
+            (1.0, {"max_steps": 10_000, "grad_eval_budget": 40}, 40, STATUS_BUDGET),
+            # mu(t) reaches 0 at k = 37 on this problem.
+            (300.0, {"max_steps": 10_000}, 10_000, STATUS_SCHEDULE),
+        ],
+        ids=["max-steps", "grad-eval-budget", "exhaustion"],
+    )
+    def test_reads_mu_only_at_the_steps_it_takes(
+        self, strongly_convex_problem, zero_x0, rate, kwargs, stop, status
+    ):
+        # A state formed ahead of the run would read mu where the run never goes.
+        expected, k_last = reference_reads(strongly_convex_problem, rate, stop)
+        mu = _CountingMu(rate)
+        traj = run_sgm(strongly_convex_problem, ContinuousDriven(mu), zero_x0, **kwargs)
+        assert mu.times == expected
+        assert traj.final.k == k_last
+        assert traj.status == status
+
     def test_absolute_value_trap(self):
         # With an exponentially decaying mu the reachable set has radius
         # mu0/(1-lam); starting outside it the method cannot reach 0.
@@ -185,16 +234,6 @@ class TestRunSgm:
     def test_max_steps_validated(self, strongly_convex_problem, zero_x0):
         with pytest.raises(InvalidParameterError, match="max_steps must be >= 1"):
             run_sgm(strongly_convex_problem, PowerDecay(mu0=1.0, gamma=0.5), zero_x0, 0)
-
-    def test_step_scale_validated(self, strongly_convex_problem, zero_x0):
-        with pytest.raises(InvalidParameterError):
-            run_sgm(
-                strongly_convex_problem,
-                PowerDecay(mu0=1.0, gamma=0.5),
-                zero_x0,
-                10,
-                step_scale=1.5,
-            )
 
     def test_smoothed_descent_inequality(self, strongly_convex_problem, zero_x0):
         # One 1/L_k gradient step on an L_k-smooth function descends by at
