@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smoothflow import rng as rng_module
+from smoothflow.errors import InvalidParameterError
 from smoothflow.rng import (
     _BLOCK_WORDS,
     _LANE_BITS,
@@ -14,6 +16,7 @@ from smoothflow.rng import (
     Xoshiro256pp,
     _jump,
     _jump_bytes,
+    _jump_many,
     _jump_rows,
     standard_normal,
 )
@@ -163,8 +166,12 @@ LANE_SIZES = [
 @example(2**64 - 1, False, [70_100, 1, 0])
 @example(0, True, [0, 1, 7])
 def test_lane_draws_equal_repeated_normal(seed, pending, sizes):
-    # Three chained calls, the first after a pending spare or not; the
-    # state and the spare must match after each.
+    _assert_draws_equal_singles(seed, sizes, pending)
+
+
+def _assert_draws_equal_singles(seed, sizes, pending=False):
+    # Chained calls, the first after a pending spare or not; the state and
+    # the spare must match after each.
     a = Xoshiro256pp(seed)
     b = Xoshiro256pp(seed)
     if pending:
@@ -178,19 +185,93 @@ def test_lane_draws_equal_repeated_normal(seed, pending, sizes):
     assert a.normal() == b.normal()
 
 
-@pytest.mark.parametrize("bits", [0, 1, 3, _LANE_BITS])
+# Every table the lane path builds: a lane's B words, the anchors' 4 B and
+# the block's _BLOCK_WORDS (squared up from B), plus small ones.
+@pytest.mark.parametrize(
+    "bits", [0, 1, 3, _LANE_BITS, _LANE_BITS + 2, _BLOCK_WORDS.bit_length() - 1]
+)
 def test_jump_table_equals_scalar_steps(bits):
     seed_rng = Xoshiro256pp(bits + 11)
-    state = [seed_rng.next_u64() for _ in range(4)]
+    states = [[seed_rng.next_u64() for _ in range(4)] for _ in range(3)]
+    state = states[0]
     rows = _jump_rows(bits)
     jumped = [0, 0, 0, 0]
     for i in range(256):
         if state[i // 64] >> (i % 64) & 1:
             jumped = [w ^ int(r) for w, r in zip(jumped, rows[i])]
-    stepped = Xoshiro256pp(0)
-    stepped._s = list(state)
-    for _ in range(1 << bits):
-        stepped.next_u64()
-    assert jumped == stepped._s
-    packed = _jump(_jump_bytes(rows), np.array(state, dtype="<u8"))
-    assert [int(w) for w in packed] == stepped._s
+    stepped = []
+    for start in states:
+        scalar = Xoshiro256pp(0)
+        scalar._s = list(start)
+        for _ in range(1 << bits):
+            scalar.next_u64()
+        stepped.append(scalar._s)
+    assert jumped == stepped[0]
+    table = _jump_bytes(rows)
+    packed = _jump(table, np.array(state, dtype="<u8"))
+    assert [int(w) for w in packed] == stepped[0]
+    many = _jump_many(table, np.array(states, dtype="<u8"))
+    assert many.tolist() == stepped
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(rng_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rng_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, pending", [(3, False), (4, True), (2**64 - 1, True)])
+def test_block_jumps_on_small_blocks_equal_repeated_normal(monkeypatch, seed, pending):
+    # 256-word blocks: a few thousand normals run through many full blocks,
+    # each started by one jump of the previous block's starts, and end in a
+    # short block.
+    monkeypatch.setattr(rng_module, "_BLOCK_WORDS", 256)
+    jumps = _count_calls(monkeypatch, "_jump_many")
+    firsts = _count_calls(monkeypatch, "_first_starts")
+    _assert_draws_equal_singles(seed, [3001, 2500], pending)
+    assert len(firsts) == 2
+    assert sum(len(states) == 256 >> _LANE_BITS for _, states in jumps) >= 20
+
+
+@pytest.mark.parametrize(
+    "block_words, seed, size",
+    [
+        # A call's only block, short of the 8,192 words, falls short.
+        (_BLOCK_WORDS, 2935, 2400),
+        # After full blocks of 4,096 words, the short last block falls short.
+        (4096, 1500, 9000),
+    ],
+)
+def test_short_block_that_falls_short_restarts_from_its_end(monkeypatch, block_words, seed, size):
+    monkeypatch.setattr(rng_module, "_BLOCK_WORDS", block_words)
+    firsts = _count_calls(monkeypatch, "_first_starts")
+    _assert_draws_equal_singles(seed, [size])
+    # The call's first block, and the restart from the short block's end.
+    assert len(firsts) == 2
+
+
+@pytest.mark.parametrize("shape", [True, (3, True), 2.5, -1])
+def test_normals_refuses_a_bad_shape_before_drawing(shape):
+    rng = Xoshiro256pp(1)
+    rng.normal()
+    before = (list(rng._s), rng._spare)
+    with pytest.raises((TypeError, ValueError)):
+        rng.normals(shape)
+    assert (rng._s, rng._spare) == before
+
+
+@pytest.mark.parametrize("seed", [2.7, "5", True, None, np.float64(3.0)])
+def test_seed_refuses_non_integers(seed):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        Xoshiro256pp(seed)
+
+
+def test_seed_takes_numpy_integers_and_masks_to_64_bits():
+    assert Xoshiro256pp(np.uint64(2**64 - 1))._s == Xoshiro256pp(-1)._s
+    assert Xoshiro256pp(np.int64(42)).next_u64() == GOLDEN_U64[42][0]
