@@ -69,7 +69,7 @@ from .analysis import (
     timeline_bounds_power,
     timeline_table,
 )
-from .rng import Xoshiro256pp, standard_normal
+from .rng import Xoshiro256pp
 
 __all__ = [
     "AffineTerm",
@@ -116,7 +116,6 @@ __all__ = [
     "smoothed_grad",
     "smoothed_value",
     "sqrt_l2_approx",
-    "standard_normal",
     "step_size",
     "sum_divergence_equivalent",
     "timeline_bounds_exponential",

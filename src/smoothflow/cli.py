@@ -114,15 +114,21 @@ def _load_config(args):
     return cfg
 
 
-def _out_dir(args, cfg=None):
+def _write(args, cfg, name, text):
+    """Write ``text`` to the file ``name`` in the output directory, which is made here.
+
+    The directory is --out, else the config's ``outputs``, else '.'; it
+    is made only once a file is ready, so a refused input leaves none.
+    An ``OSError`` from making it or writing is a ``ConfigError``.
+    """
     out = args.out or (cfg.outputs if cfg is not None and cfg.outputs else ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write(path, text):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    path = os.path.join(out, name)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _run_param(cfg, name, kind, default):
@@ -154,12 +160,11 @@ def _schedule(cfg, needs=None):
 
 def _emit(args, cfg, stem, csv_text, series):
     """Write ``csv_text()`` to ``stem``.csv, or with --format json ``series()`` to ``stem``.json."""
-    out = _out_dir(args, cfg)
     if args.format == "csv":
         text = csv_text()
     else:
         text = json_envelope(cfg.to_dict(), series())
-    _write(os.path.join(out, f"{stem}.{args.format}"), text)
+    _write(args, cfg, f"{stem}.{args.format}", text)
 
 
 def _exit_code(args, exhausted):
@@ -181,8 +186,7 @@ def _cmd_generate(args):
         "x_star": list(problem.optimum),
         "optimal_value": problem.optimal_value,
     }
-    out = _out_dir(args, cfg)
-    _write(os.path.join(out, "problem.json"), json_envelope(cfg.to_dict(), data))
+    _write(args, cfg, "problem.json", json_envelope(cfg.to_dict(), data))
     return _EXIT_OK
 
 
@@ -268,8 +272,9 @@ _TIMELINE_PARAM = {"power": ("gamma", "gamma"), "exponential": ("lam", "lambda")
 
 
 def _cmd_bounds(args):
+    if args.format != "csv":
+        raise ConfigError(f"bounds writes CSV only; --format {args.format} is not supported")
     cfg = _load_config(args) if args.config else None
-    out = _out_dir(args, cfg)
     kind = args.schedule
     if kind is None and cfg is not None:
         name = cfg.schedule.get("name")
@@ -291,7 +296,7 @@ def _cmd_bounds(args):
         ks, bounds, d0_sq = _bound_series(cfg, problem, k_max)
     # Both series are formed before either file is written, so a refused input leaves none.
     if table is not None:
-        _write(os.path.join(out, "timeline_bounds.csv"), timeline_csv(table))
+        _write(args, cfg, "timeline_bounds.csv", timeline_csv(table))
     if cfg is None:
         return _EXIT_OK
     ks_list = ks.tolist()
@@ -315,7 +320,7 @@ def _cmd_bounds(args):
             d0_sq,
         )
         fields.append([closed(k) for k in ks_list])
-    _write(os.path.join(out, "discrete_bounds.csv"), series_csv(columns, zip(*fields), row))
+    _write(args, cfg, "discrete_bounds.csv", series_csv(columns, zip(*fields), row))
     return _exit_code(args, len(ks) < k_max)
 
 

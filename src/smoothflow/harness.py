@@ -81,6 +81,32 @@ def _number(raw, name):
     raise ConfigError(f"{name} must be a number, got {raw!r}")
 
 
+# README's config schema: the keys of each section, which its reader takes
+# from here and ``ExperimentConfig`` refuses any other of.
+_CONFIG_KEYS = ("problem", "smoothing", "schedule", "run", "outputs")
+_PROBLEM_KEYS = {"n_x": "n_x", "n_A": "n_a", "n_C": "n_c", "rng_seed": "rng_seed"}
+_RUN_KEYS = ("max_steps", "record_stride", "t_end", "rtol", "atol", "x0")
+# Schedule name -> its design and parameters, read after ``name`` and ``t0``.
+_SCHEDULES = {
+    "power": (PowerDecay, ("mu0", "gamma")),
+    "exp": (ExpDecay, ("mu0", "lambda")),
+    "continuous-linear": (LinearMu, ("mu0", "rate")),
+    "continuous-exp": (ExponentialMu, ("mu0", "gamma")),
+    "continuous-reciprocal": (ReciprocalMu, ("mu0", "p")),
+}
+
+
+def _refuse_unknown(section, allowed, where):
+    """A ``ConfigError`` naming the first key of the map ``section`` that ``allowed`` lacks."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}"
+            )
+
+
 @dataclass
 class ExperimentConfig:
     """Deserialized experiment description (see README for the schema)."""
@@ -95,7 +121,7 @@ class ExperimentConfig:
     outputs: Optional[str] = None
 
     def __post_init__(self):
-        for name, key in (("n_x", "n_x"), ("n_a", "n_A"), ("n_c", "n_C"), ("rng_seed", "rng_seed")):
+        for key, name in _PROBLEM_KEYS.items():
             setattr(self, name, _integer(getattr(self, name), f"problem.{key}"))
         if min(self.n_x, self.n_a, self.n_c) < 1:
             raise ConfigError("n_x, n_A and n_C must all be >= 1")
@@ -105,16 +131,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown smoothing {self.smoothing!r}; choose from {sorted(L1_SMOOTHERS)}"
             )
+        if self.outputs is not None and not isinstance(self.outputs, str):
+            raise ConfigError(f"outputs must be a string or null, got {self.outputs!r}")
+        _refuse_unknown(self.run, _RUN_KEYS, "run")
+        name = self.schedule.get("name")
+        if name not in _SCHEDULES:
+            raise ConfigError(f"unknown schedule name {name!r}")
+        _refuse_unknown(self.schedule, ("name", "t0", *_SCHEDULES[name][1]), "schedule")
 
     @classmethod
     def from_dict(cls, raw):
         try:
+            _refuse_unknown(raw, _CONFIG_KEYS, "the config")
             prob = raw["problem"]
+            _refuse_unknown(prob, _PROBLEM_KEYS, "problem")
             return cls(
-                n_x=prob["n_x"],
-                n_a=prob["n_A"],
-                n_c=prob["n_C"],
-                rng_seed=prob["rng_seed"],
+                **{name: prob[key] for key, name in _PROBLEM_KEYS.items()},
                 smoothing=raw.get("smoothing", "sqrt_l2"),
                 schedule=dict(raw.get("schedule", {"name": "power", "mu0": 1.0, "gamma": 0.5})),
                 run=dict(raw.get("run", {})),
@@ -190,27 +222,16 @@ def schedule_from_config(params, t0=0.0):
     ``params["t0"]`` or the ``t0`` argument.
     """
     params = dict(params)
-    name = params.get("name")
-
-    def num(key):
-        return _schedule_param(params, key)
-
     params.setdefault("t0", t0)
-    t0 = num("t0")
-    if name == "power":
-        return PowerDecay(mu0=num("mu0"), gamma=num("gamma"), t0=t0)
-    if name == "exp":
-        return ExpDecay(mu0=num("mu0"), lam=num("lambda"), t0=t0)
-    if name == "continuous-linear":
-        design = LinearMu(mu0=num("mu0"), rate=num("rate"), t0=t0)
-        return ContinuousDriven(mu_of_t=design, t0=t0)
-    if name == "continuous-exp":
-        design = ExponentialMu(mu0=num("mu0"), gamma=num("gamma"), t0=t0)
-        return ContinuousDriven(mu_of_t=design, t0=t0)
-    if name == "continuous-reciprocal":
-        design = ReciprocalMu(mu0=num("mu0"), power=num("p"), t0=t0)
-        return ContinuousDriven(mu_of_t=design, t0=t0)
-    raise ConfigError(f"unknown schedule name {name!r}")
+    t0 = _schedule_param(params, "t0")
+    name = params.get("name")
+    if name not in _SCHEDULES:
+        raise ConfigError(f"unknown schedule name {name!r}")
+    design, keys = _SCHEDULES[name]
+    sched = design(*(_schedule_param(params, key) for key in keys), t0=t0)
+    if name.startswith("continuous-"):
+        return ContinuousDriven(mu_of_t=sched, t0=t0)
+    return sched
 
 
 TRAJECTORY_COLUMNS = "k,t,s,mu,f_tilde,f_true,grad_norm,lyapunov,bound,grad_evals"

@@ -6,7 +6,6 @@
 per-mu smoothness constant ``L + alpha/mu``.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -43,40 +42,15 @@ class GradEvalCounter:
         self.count += 1
 
 
-class _PartPoint:
-    """f at one x through its ``value`` and ``grad`` callables."""
-
-    __slots__ = ("_part", "_x")
-
-    def __init__(self, part, x):
-        self._part = part
-        self._x = x
-
-    def value(self):
-        return self._part.value(self._x)
-
-    def grad(self):
-        return self._part.grad(self._x)
-
-
 @dataclass(frozen=True)
 class SmoothPart:
-    """Differentiable objective term with curvature metadata.
-
-    ``point(x)`` returns an object whose ``value()`` and ``grad()`` give
-    f(x) and grad f(x); a part whose two share work at x (a residual)
-    passes its own, which must agree with ``value`` and ``grad``. The
-    default calls the two callables.
-    """
+    """Differentiable objective term with curvature metadata."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     sigma: float
     lipschitz: float
     input_dim: int
-    point: Optional[Callable[[np.ndarray], object]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         _check_nonnegative(sigma=self.sigma, lipschitz=self.lipschitz)
@@ -84,24 +58,16 @@ class SmoothPart:
             raise InvalidParameterError(
                 f"sigma ({self.sigma}) cannot exceed lipschitz ({self.lipschitz})"
             )
-        if self.point is None:
-            object.__setattr__(self, "point", functools.partial(_PartPoint, self))
 
 
-class _LeastSquaresPoint:
-    """||A x - b||^2 at one x: the residual A x - b is formed once."""
+class _LeastSquares(SmoothPart):
+    """A ``quadratic_least_squares`` part, which keeps its ``a`` and ``b`` for stacking.
 
-    __slots__ = ("_a", "_r")
+    A part rebuilt through the constructor carries neither, so a problem
+    does not stack it (see ``_Stacked.of``).
+    """
 
-    def __init__(self, a, b, x):
-        self._a = a
-        self._r = a @ x - b
-
-    def value(self):
-        return float(_sum_of_squares(self._r))
-
-    def grad(self):
-        return 2.0 * (self._a.T @ self._r)
+    a = b = None
 
 
 def quadratic_least_squares(a, b):
@@ -130,15 +96,15 @@ def quadratic_least_squares(a, b):
     if lam_min < _RANK_FLOOR * lam_max:
         lam_min = 0.0
 
-    point = functools.partial(_LeastSquaresPoint, a, b)
-    return SmoothPart(
-        value=lambda x: point(x).value(),
-        grad=lambda x: point(x).grad(),
+    part = _LeastSquares(
+        value=lambda x: float(_sum_of_squares(a @ x - b)),
+        grad=lambda x: 2.0 * (a.T @ (a @ x - b)),
         sigma=2.0 * lam_min,
         lipschitz=2.0 * lam_max,
         input_dim=a.shape[1],
-        point=point,
     )
+    part.a, part.b = a, b
+    return part
 
 
 def _aligned_rows(*blocks):
@@ -173,10 +139,9 @@ class _Stacked(NamedTuple):
     @classmethod
     def of(cls, f, h):
         """The stacked map of ``f`` and ``h``, or None unless both are built-in parts."""
-        point = f.point
-        if not (isinstance(point, functools.partial) and point.func is _LeastSquaresPoint):
+        if not isinstance(f, _LeastSquares) or f.a is None:
             return None
-        a, b = point.args
+        a, b = f.a, f.b
         if h is None:
             m = _aligned_rows(a)
             return cls(m, m.T, b, a.shape[0], None)
@@ -218,7 +183,6 @@ class CompositeProblem:
     h: Optional[object] = None
     optimum: Optional[np.ndarray] = None
     optimal_value: Optional[float] = None
-    fingerprint: str = field(default="", compare=False)
     _stacked: Optional[_Stacked] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -240,18 +204,6 @@ class CompositeProblem:
                     f"optimal_value {self.optimal_value} disagrees with "
                     f"F(optimum) = {f_star}"
                 )
-        if not self.fingerprint:
-            object.__setattr__(self, "fingerprint", self._describe())
-
-    def _describe(self):
-        parts = [
-            f"dim={self.input_dim}",
-            f"L={self.f.lipschitz:.6g}",
-            f"sigma={self.f.sigma:.6g}",
-            f"alpha={self.alpha:.6g}",
-            f"beta={self.beta:.6g}",
-        ]
-        return ";".join(parts)
 
     @property
     def input_dim(self):
@@ -292,16 +244,16 @@ class CompositePoint:
     ``f.grad + h.grad_x``, which sum two products. The values sum the
     rows of ``r`` with the kernels a run's monitors (``solver._Chunk``)
     run on a chunk of rows. Any other problem (a user ``SmoothPart`` or
-    ``SmoothApprox`` subclass, or ``affine_sum``) asks f's own point,
-    ``f.point(x)``, and h's ``value``, ``grad_x`` and ``underlying_value``
-    at ``x`` for every value, and ``move`` builds a fresh point.
+    ``SmoothApprox`` subclass, or ``affine_sum``) asks f's ``value`` and
+    ``grad`` and h's ``value``, ``grad_x`` and ``underlying_value`` at
+    ``x`` for every value, and ``move`` builds a fresh point.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
     checked here on every formation, and ``mu`` on every read.
     """
 
-    __slots__ = ("x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c", "_f")
+    __slots__ = ("x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c")
 
     def __init__(self, problem, x):
         self._problem = problem
@@ -319,7 +271,6 @@ class CompositePoint:
             raise DimensionMismatchError(
                 f"expected input of shape ({problem.input_dim},), got {x.shape}"
             )
-        self._f = problem.f.point(x)
         self.x = x
 
     def move(self, x):
@@ -357,29 +308,29 @@ class CompositePoint:
             if stacked.kernel is not None:
                 stacked.kernel.coeff(self._r_c, mu, self._w_c)
             return stacked.mt.dot(self._w)
-        h = self._problem.h
+        f, h = self._problem.f, self._problem.h
         if h is None:
-            return self._f.grad()
-        return self._f.grad() + h.grad_x(self.x, mu)
+            return f.grad(self.x)
+        return f.grad(self.x) + h.grad_x(self.x, mu)
 
     def smoothed(self, mu):
         """F(x, mu) = f(x) + h_tilde(x, mu)."""
         _check_mu(mu)
         if self._stacked is not None:
             return float(self._stacked.smoothed(self._r, mu))
-        h = self._problem.h
+        f, h = self._problem.f, self._problem.h
         if h is None:
-            return float(self._f.value())
-        return float(self._f.value() + h.value(self.x, mu))
+            return float(f.value(self.x))
+        return float(f.value(self.x) + h.value(self.x, mu))
 
     def exact(self):
         """F(x) with the exact h."""
         if self._stacked is not None:
             return float(self._stacked.exact(self._r))
-        h = self._problem.h
+        f, h = self._problem.f, self._problem.h
         if h is None:
-            return float(self._f.value())
-        return float(self._f.value() + h.underlying_value(self.x))
+            return float(f.value(self.x))
+        return float(f.value(self.x) + h.underlying_value(self.x))
 
 
 def smoothed_value(problem, x, mu):

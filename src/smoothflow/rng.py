@@ -297,7 +297,3 @@ class Xoshiro256pp:
         self._spare = spare
         return shaped
 
-
-def standard_normal(rng_state):
-    """One standard-normal draw, advancing ``rng_state`` in place."""
-    return rng_state.normal()

@@ -25,7 +25,6 @@ from .schedule import _smoothness, _states, _times_eta, initial_state
 
 STATUS_BUDGET = "budget-exhausted"
 STATUS_SCHEDULE = "schedule-exhausted"
-STATUS_TOLERANCE = "tolerance-met"
 
 
 class IterationRecord(NamedTuple):
@@ -59,7 +58,6 @@ class IterationRecord(NamedTuple):
 @dataclass(frozen=True)
 class Trajectory:
     records: List[IterationRecord]
-    problem_fingerprint: str
     schedule: str
     status: str
 
@@ -299,7 +297,6 @@ def run_sgm(
     x0,
     max_steps,
     grad_eval_budget=None,
-    grad_tol=None,
     record_stride=1,
     counter=None,
 ):
@@ -312,7 +309,6 @@ def run_sgm(
     x0 : initial iterate
     max_steps : iteration budget (>= 1)
     grad_eval_budget : optional cap on charged gradient evaluations
-    grad_tol : optional stop threshold on the smoothed gradient norm
     record_stride : keep every stride-th record (first and last always);
         an integer >= 1
     counter : optional externally owned ``GradEvalCounter``
@@ -329,7 +325,7 @@ def run_sgm(
     of the run, from the residuals each iterate formed for its
     gradient; each is the kernel of its single-point function applied
     to the chunk's arrays, so it reads the same bits. The divergence
-    check and the gradient-tolerance test stay per step.
+    check stays per step.
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
@@ -395,9 +391,6 @@ def run_sgm(
             # x.dot(zeros) is NaN exactly when an entry of x is inf or NaN.
             if not math.isfinite(grad_norm + x.dot(zeros)):
                 raise NumericalDivergenceError(k)
-            if not stopping and grad_tol is not None and grad_norm <= grad_tol:
-                stopping = True
-                status = STATUS_TOLERANCE
             if stopping or k % record_stride == 0:
                 # Evaluations spent reaching this iterate; a just-charged
                 # evaluation belongs to the step ahead, not to this record.
@@ -411,7 +404,6 @@ def run_sgm(
         chunk.flush()
     return Trajectory(
         records=chunk.records,
-        problem_fingerprint=problem.fingerprint,
         schedule=sched.describe(),
         status=status,
     )

@@ -9,11 +9,14 @@ signature. They also pin the command line: every
 subcommand's options, each with its strings, ``dest``, default, type and
 choices. The file formats are pinned by the golden hashes of
 ``test_cli.py``; this pins the calls that produce them. A change here is
-a change to the API and should be deliberate.
+a change to the API and should be deliberate. README's "Public contract"
+table must name a user for every exported name, and no other name.
 """
 
 import argparse
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +32,7 @@ PACKAGE_API = {
         "grad_x_fd_rel=0.0, grad_mu_fd_rel=0.0, smoothness_excess=0.0, "
         "convexity_gap=0.0, tolerances=<factory>)"
     ),
-    "CompositeProblem": "(f, h=None, optimum=None, optimal_value=None, fingerprint='')",
+    "CompositeProblem": "(f, h=None, optimum=None, optimal_value=None)",
     "ConstantMu": "(mu0)",
     "ContinuousDriven": "(mu_of_t, t0=0.0)",
     "ExpDecay": "(mu0, lam, t0=0.0)",
@@ -43,10 +46,10 @@ PACKAGE_API = {
     "ReciprocalMu": "(mu0, power, t0=0.0)",
     "ScheduleState": "(k, t, mu, s, sum_s, scaled_sum_eta_s, scaled_sum_eta_mu_s, inv_eta)",
     "SmoothApprox": "()",
-    "SmoothPart": "(value, grad, sigma, lipschitz, input_dim, point=None)",
+    "SmoothPart": "(value, grad, sigma, lipschitz, input_dim)",
     "SmoothingParams": "(alpha, beta)",
     "TimelineBounds": "(k, t_lower, t_upper, mu_lower, mu_upper, k_lower=None, k_upper=None)",
-    "Trajectory": "(records, problem_fingerprint, schedule, status)",
+    "Trajectory": "(records, schedule, status)",
     "Xoshiro256pp": "(seed)",
     "advance": "(sched, state, sigma, lipschitz, alpha)",
     "affine_sum": "(terms)",
@@ -74,13 +77,11 @@ PACKAGE_API = {
     "lyapunov_discrete": "(problem, state, x)",
     "quadratic_least_squares": "(a, b)",
     "run_sgm": (
-        "(problem, sched, x0, max_steps, grad_eval_budget=None, grad_tol=None, "
-        "record_stride=1, counter=None)"
+        "(problem, sched, x0, max_steps, grad_eval_budget=None, record_stride=1, counter=None)"
     ),
     "smoothed_grad": "(problem, x, mu, counter=None)",
     "smoothed_value": "(problem, x, mu)",
     "sqrt_l2_approx": "(dim)",
-    "standard_normal": "(rng_state)",
     "step_size": "(lipschitz, alpha, mu)",
     "sum_divergence_equivalent": "(sched, sigma, lipschitz, alpha, horizon)",
     "timeline_bounds_exponential": "(lipschitz, alpha, mu0, lam, k, t_delta=None)",
@@ -269,3 +270,18 @@ def test_subcommand_options(command):
         for action in subcommands()[command]._actions
     ]
     assert options == CLI_API[command]
+
+
+def ledger():
+    """Name -> user cell of each row of README's "Public contract" table."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Public contract\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.MULTILINE)
+    return {name: user.strip() for name, user in rows}, len(rows)
+
+
+def test_public_contract_ledger_lists_every_export():
+    users, rows = ledger()
+    assert rows == len(users)  # no name listed twice
+    assert sorted(users) == sorted(smoothflow.__all__)
+    assert [name for name, user in users.items() if not user] == []

@@ -124,7 +124,7 @@ class TestExitCodes:
         argv = ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", k_max]
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: k_max must be >= 1, got {k_max}")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_bounds_config_without_steps(self, tmp_path, capsys):
         # solve-sgm refused this config; bounds wrote both tables and exited 0.
@@ -132,7 +132,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(["bounds", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: k_max must be >= 1, got 0")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["2", "inf"])
     def test_bounds_lambda_out_of_range_is_refused_quietly(self, tmp_path, capsys, lam):
@@ -892,3 +892,99 @@ def test_back_to_back_calls_match_separate_calls(tmp_path, capsys):
     assert call(gamma, "d") == (0, "")
     first, again = (tmp_path / d / "timeline_bounds.csv" for d in ("a", "d"))
     assert first.read_bytes() == again.read_bytes()
+
+
+# Each of these was read without the misspelled or extra key: the run took
+# its defaults (1,250 steps, every record) and exited 0.
+UNKNOWN_KEYS = [
+    (None, "extra", 1),
+    ("problem", "n_y", 3),
+    ("run", "max_step", 5),
+    ("run", "recrod_stride", 2),
+    ("schedule", "gama", 3),
+    # A parameter of another schedule is not one of power's.
+    ("schedule", "lambda", 0.5),
+]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve-sgm"])
+@pytest.mark.parametrize(
+    "section,key,value", UNKNOWN_KEYS, ids=[f"{s}.{k}" for s, k, _ in UNKNOWN_KEYS]
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, section, key, value):
+    if section is None:
+        payload = dict(STRONG, **{key: value})
+    else:
+        payload = dict(STRONG, **{section: dict(STRONG[section], **{key: value})})
+    out = tmp_path / "o"
+    assert run([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ") and f"unknown key {key!r} in " in err[0]
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert not out.exists()
+
+
+def test_every_schema_key_is_accepted(tmp_path):
+    run_keys = dict(CONTINUOUS["run"], record_stride=2, x0=[0.0] * 6)
+    payload = dict(CONTINUOUS, run=run_keys, outputs=str(tmp_path / "from_config"))
+    cfg = write_config(tmp_path, payload)
+    assert run(["solve-sgf-euler", "--config", cfg]) == 0
+    assert (tmp_path / "from_config" / "flow_euler.csv").exists()
+
+
+def test_outputs_that_is_not_a_string_is_config_error(tmp_path, capsys):
+    # os.makedirs raised TypeError: a traceback and exit 1.
+    cfg = write_config(tmp_path, dict(STRONG, outputs=5))
+    assert run(["generate", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ") and err[0].endswith("outputs must be a string or null, got 5")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--config", "{cfg}"],
+        ["solve-sgm", "--config", "{cfg}"],
+        ["bounds", "--schedule", "power", "--gamma", "0.5", "--k-max", "5"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_naming_a_regular_file_is_config_error(tmp_path, capsys, args):
+    # os.makedirs raised FileExistsError: a traceback and exit 1.
+    cfg = write_config(tmp_path, STRONG)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [a.format(cfg=cfg) for a in args] + ["--out", str(taken)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: cannot write {taken}")
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert taken.read_text() == "kept\n"
+
+
+def test_unwritable_output_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "trajectory.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, STRONG)
+    assert run(["solve-sgm", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'trajectory.csv'}")
+
+
+def test_refused_bounds_makes_no_directory(tmp_path, capsys):
+    # The directory was made before --gamma was checked, and stayed behind empty.
+    out = tmp_path / "D"
+    argv = ["bounds", "--schedule", "power", "--gamma", "-1", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: gamma must be finite and > 0")
+    assert not out.exists()
+
+
+def test_bounds_refuses_json_format(tmp_path, capsys):
+    # bounds wrote CSV under --format json and exited 0.
+    out = tmp_path / "o"
+    argv = ["bounds", "--schedule", "power", "--gamma", "0.5", "--format", "json"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bounds writes CSV only; --format json is not supported\n"
+    )
+    assert not out.exists()

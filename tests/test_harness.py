@@ -122,7 +122,7 @@ class TestGenerateProblem:
         p = generate_problem(ExperimentConfig(n_x=100, n_a=200, n_c=500, rng_seed=seed))
         (rng,) = made
         digest = hashlib.sha256()
-        for array in (p.f.point.args[0], p.h._c, p.optimum):
+        for array in (p.f.a, p.h._c, p.optimum):
             digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
         digest.update(np.array(rng._s, dtype="<u8").tobytes())
         spare = math.nan if rng._spare is None else rng._spare
@@ -218,3 +218,29 @@ class TestStandardNormalStatistics:
         first = [rng.normal() for _ in range(5)]
         assert first[0] == 0.98139839007249863
         assert first[4] == -0.96422050629413836
+
+
+class TestConfigSchema:
+    def test_outputs_must_be_a_string_or_null(self):
+        assert small_config(outputs="out").outputs == "out"
+        with pytest.raises(ConfigError, match="outputs must be a string or null"):
+            small_config(outputs=5)
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"run": {"max_step": 5}},
+            {"schedule": {"name": "power", "mu0": 1.0, "gamma": 0.5, "gama": 3}},
+            {"schedule": {"name": "exp", "mu0": 1.0, "lambda": 0.5, "gamma": 0.5}},
+            {"schedule": {"name": "cosine", "mu0": 1.0}},
+        ],
+    )
+    def test_keys_outside_the_schema_are_refused(self, over):
+        with pytest.raises(ConfigError):
+            small_config(**over)
+
+    def test_each_schedule_takes_name_t0_and_its_parameters(self):
+        for name, (_, keys) in harness._SCHEDULES.items():
+            params = {"name": name, "t0": 1.0, **{key: 0.5 for key in keys}}
+            assert small_config(schedule=params).schedule == params
+            schedule_from_config(params)

@@ -31,7 +31,7 @@ from smoothflow.errors import (
     UnsupportedOperationError,
 )
 from smoothflow.rng import Xoshiro256pp
-from smoothflow.solver import STATUS_BUDGET, STATUS_SCHEDULE, STATUS_TOLERANCE
+from smoothflow.solver import STATUS_BUDGET, STATUS_SCHEDULE
 
 from conftest import SEED
 
@@ -151,18 +151,6 @@ class TestRunSgm:
         assert traj.final.k == 37
         assert traj.final.grad_evals == 37
         assert traj.status == STATUS_BUDGET
-
-    def test_tolerance_stop(self, strongly_convex_problem, zero_x0):
-        traj = run_sgm(
-            strongly_convex_problem,
-            PowerDecay(mu0=1.0, gamma=0.5, t0=1.0),
-            zero_x0,
-            10_000,
-            grad_tol=1.0,
-        )
-        assert traj.status == STATUS_TOLERANCE
-        assert traj.final.grad_norm <= 1.0
-        assert traj.final.k < 10_000
 
     def test_record_stride_keeps_first_and_last(self, strongly_convex_problem, zero_x0):
         traj = run_sgm(
