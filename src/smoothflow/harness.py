@@ -152,6 +152,8 @@ class ExperimentConfig:
                 run=dict(raw.get("run", {})),
                 outputs=raw.get("outputs"),
             )
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
