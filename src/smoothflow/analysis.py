@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import kahan_cumsum
 from .errors import InvalidParameterError, InvalidSeriesError
-from .schedule import _check_nonnegative, _check_params, _smoothness, _states
+from .schedule import _check_lambda, _check_nonnegative, _check_params, _smoothness, _states
 from .solver import _gap_bound
 
 
@@ -49,12 +49,6 @@ def _check_k_max(k_max):
     """Refuse a series length ``k_max`` below 1."""
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-
-
-def _check_lambda(lam):
-    """Refuse an exponential decay rate ``lam`` outside (0, 1)."""
-    if not (0.0 < lam < 1.0):
-        raise InvalidParameterError(f"lambda must be in (0, 1), got {lam}")
 
 
 def _time_recursion(lipschitz, alpha, mu):

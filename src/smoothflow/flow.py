@@ -331,7 +331,7 @@ def integrate_rk45(
             if h_try < min_step:
                 raise StiffnessError(f"step size underflow at t = {t} (h = {h_try})")
             for c, a, k_prev, i in stages:
-                point = point.move(x - h_try * a.dot(k_prev))
+                point.move(x - h_try * a.dot(k_prev))
                 k_mat[i] = grad_at(t + c * h_try, point)
             # Without this test a NaN stage only shrinks h until it underflows.
             if not np.logical_and.reduce(np.isfinite(k_mat), axis=None):

@@ -96,11 +96,16 @@ _SCHEDULES = {
 }
 
 
-def _refuse_unknown(section, allowed, where):
-    """A ``ConfigError`` naming the first key of the map ``section`` that ``allowed`` lacks."""
+def _object(section, where):
+    """``section`` itself; a ``ConfigError`` naming ``where`` unless it is a JSON object."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    for key in section:
+    return section
+
+
+def _refuse_unknown(section, allowed, where):
+    """A ``ConfigError`` naming the first key of the map ``section`` that ``allowed`` lacks."""
+    for key in _object(section, where):
         if key not in allowed:
             raise ConfigError(
                 f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}"
@@ -125,6 +130,10 @@ class ExperimentConfig:
             setattr(self, name, _integer(getattr(self, name), f"problem.{key}"))
         if min(self.n_x, self.n_a, self.n_c) < 1:
             raise ConfigError("n_x, n_A and n_C must all be >= 1")
+        # 64-bit numpy refuses an array of 2**60 floats or more with a ValueError;
+        # a smaller problem that does not fit in memory raises MemoryError.
+        if self.n_x * (self.n_a + self.n_c) >= 2**60:
+            raise ConfigError("n_x * (n_A + n_C) must be below 2**60")
         if not (0 <= self.rng_seed < 2**64):
             raise ConfigError("rng_seed must be an unsigned 64-bit integer")
         if self.smoothing not in L1_SMOOTHERS:
@@ -133,7 +142,10 @@ class ExperimentConfig:
             )
         if self.outputs is not None and not isinstance(self.outputs, str):
             raise ConfigError(f"outputs must be a string or null, got {self.outputs!r}")
+        # Each section is checked to be an object before it is read, then copied.
+        self.run = dict(_object(self.run, "run"))
         _refuse_unknown(self.run, _RUN_KEYS, "run")
+        self.schedule = dict(_object(self.schedule, "schedule"))
         name = self.schedule.get("name")
         if name not in _SCHEDULES:
             raise ConfigError(f"unknown schedule name {name!r}")
@@ -148,8 +160,8 @@ class ExperimentConfig:
             return cls(
                 **{name: prob[key] for key, name in _PROBLEM_KEYS.items()},
                 smoothing=raw.get("smoothing", "sqrt_l2"),
-                schedule=dict(raw.get("schedule", {"name": "power", "mu0": 1.0, "gamma": 0.5})),
-                run=dict(raw.get("run", {})),
+                schedule=raw.get("schedule", {"name": "power", "mu0": 1.0, "gamma": 0.5}),
+                run=raw.get("run", {}),
                 outputs=raw.get("outputs"),
             )
         except ConfigError:

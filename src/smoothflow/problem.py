@@ -234,11 +234,12 @@ class CompositeProblem:
 class CompositePoint:
     """F at one x: the gradient, F(x, mu) and F(x).
 
-    On a stacked problem (a least-squares f and a built-in h, or no h)
-    the point owns the residual ``r = M x - e`` and the gradient's
-    weights ``w``, each allocated once, with views on their f and h
-    rows. ``move(x)`` re-forms ``r`` in place, so a run builds one point
-    and moves it from iterate to iterate. The gradient is one product
+    A run builds one point and moves it from iterate to iterate:
+    ``move(x)`` returns the point itself on every problem. On a stacked
+    problem (a least-squares f and a built-in h, or no h) the point owns
+    the residual ``r = M x - e`` and the gradient's weights ``w``, each
+    allocated once, with views on their f and h rows, and ``move(x)``
+    re-forms ``r`` in place. The gradient is one product
     ``M^T w``, with ``w = [2 r_A; coeff(r_C, mu)]``; its last bits
     depend on how BLAS blocks the rows of ``M``, so they may differ from
     ``f.grad + h.grad_x``, which sum two products. The values sum the
@@ -246,17 +247,18 @@ class CompositePoint:
     run on a chunk of rows. Any other problem (a user ``SmoothPart`` or
     ``SmoothApprox`` subclass, or ``affine_sum``) asks f's ``value`` and
     ``grad`` and h's ``value``, ``grad_x`` and ``underlying_value`` at
-    ``x`` for every value, and ``move`` builds a fresh point.
+    ``x`` for every value, and ``move`` only re-points ``x``.
 
     Everything else is computed on request, so a point read only for its
     gradient costs no more than the gradient. The shape of ``x`` is
-    checked here on every formation, and ``mu`` on every read.
+    checked on every move, and ``mu`` on every read.
     """
 
-    __slots__ = ("x", "_problem", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c")
+    __slots__ = ("x", "_problem", "_shape", "_stacked", "_r", "_w", "_r_a", "_r_c", "_w_a", "_w_c")
 
     def __init__(self, problem, x):
         self._problem = problem
+        self._shape = (problem.input_dim,)
         stacked = self._stacked = problem._stacked
         if stacked is not None:
             r = self._r = np.empty(stacked.e.shape)
@@ -264,37 +266,25 @@ class CompositePoint:
             n_a = stacked.n_a
             self._r_a, self._r_c = r[:n_a], r[n_a:]
             self._w_a, self._w_c = w[:n_a], w[n_a:]
-            self.move(x)
-            return
-        x = np.asarray(x, dtype=float)
-        if x.shape != (problem.input_dim,):
-            raise DimensionMismatchError(
-                f"expected input of shape ({problem.input_dim},), got {x.shape}"
-            )
-        self.x = x
+        self.move(x)
 
     def move(self, x):
-        """The point at ``x``: this one, its residual re-formed in place, on a stacked problem.
+        """This point, moved to ``x``: on a stacked problem its residual is re-formed in place.
 
-        Every stacked residual is formed here, a new point's first too.
-        A gradient returned before the move stays the caller's own
-        array; values read after it are at ``x``. Any other problem gets
-        a fresh point, since a run's monitors (``solver._Chunk``) keep
-        those.
+        Every point is formed here, a new point's first position too. A
+        gradient returned before the move stays the caller's own array;
+        values read after it are at ``x``.
         """
-        stacked = self._stacked
-        if stacked is None:
-            return CompositePoint(self._problem, x)
         x = np.asarray(x, dtype=float)
-        if x.shape != stacked.m.shape[1:]:
-            raise DimensionMismatchError(
-                f"expected input of shape {stacked.m.shape[1:]}, got {x.shape}"
-            )
-        # ndarray.dot with a positional out runs the BLAS gemv of np.matmul,
-        # bit for bit, without np.dot's dispatch layer or matmul's set-up.
-        r = self._r
-        stacked.m.dot(x, r)
-        np.subtract(r, stacked.e, r)
+        if x.shape != self._shape:
+            raise DimensionMismatchError(f"expected input of shape {self._shape}, got {x.shape}")
+        stacked = self._stacked
+        if stacked is not None:
+            # ndarray.dot with a positional out runs the BLAS gemv of np.matmul,
+            # bit for bit, without np.dot's dispatch layer or matmul's set-up.
+            r = self._r
+            stacked.m.dot(x, r)
+            np.subtract(r, stacked.e, r)
         self.x = x
         return self
 

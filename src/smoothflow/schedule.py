@@ -39,6 +39,12 @@ def _check_params(t0=0.0, **positive):
         raise InvalidParameterError(f"t0 must be finite, got {t0}")
 
 
+def _check_lambda(lam):
+    """Refuse an exponential decay rate outside (0, 1), naming it ``lambda`` as the config does."""
+    if not (0.0 < lam < 1.0):
+        raise InvalidParameterError(f"lambda must be in (0, 1), got {lam}")
+
+
 def _check_nonnegative(**values):
     """Refuse, by name, a value not finite and >= 0."""
     for name, value in values.items():
@@ -110,8 +116,7 @@ class ExpDecay:
 
     def __post_init__(self):
         _check_params(self.t0, mu0=self.mu0)
-        if not (0.0 < self.lam < 1.0):
-            raise InvalidParameterError("lam must be in (0, 1)")
+        _check_lambda(self.lam)
 
     def mu_at(self, k, t):
         return self.mu0 * self.lam**k
@@ -246,7 +251,7 @@ class ReciprocalMu:
     """mu(t) = mu0 * (1 + (t - t0))**(-p); positive for all t >= t0."""
 
     def __init__(self, mu0, power, t0=0.0):
-        _check_params(t0, mu0=mu0, power=power)
+        _check_params(t0, mu0=mu0, p=power)
         self.mu0 = mu0
         self.power = power
         self.t0 = t0

@@ -122,15 +122,16 @@ class _Chunk:
 
     ``add(point, *entry)`` queues ``(point.x, *entry)``; the run never
     mutates that x. On a stacked problem it copies the point's residual
-    row into a buffer allocated once per run, so the point may move on
-    (any other problem's points are kept). ``flush`` hands them to
-    ``columns``, which returns the chunk's mu, the certificate's weight
-    and integral (unused when the optimum is unknown), each an array
-    with one entry per record, and ``build(f_tilde, f_true, lyapunov)``,
-    which makes the chunk's records in order from lists of those values.
+    row into a buffer allocated once per run, so the point may move on.
+    ``flush`` hands the queue to ``columns``, which returns the chunk's
+    mu, the certificate's weight and integral (unused when the optimum
+    is unknown), each an array with one entry per record, and
+    ``build(f_tilde, f_true, lyapunov)``, which makes the chunk's
+    records in order from lists of those values.
     ``flush`` reads F(x, mu) and F(x) in one pass over the rows
     (``_Stacked.smoothed`` and ``exact``, whose sums are one
-    ``np.add.reduce`` per row, as for a point alone) and the Lyapunov
+    ``np.add.reduce`` per row, as for a point alone), or on any other
+    problem from a point formed at each queued x, and the Lyapunov
     values in one ``_lyapunov`` call on the stacked x rows, so each
     value equals its single-point function's bit for bit. F(x*, mu) is
     one float per run when x*'s h rows are exactly 0, as at x* of every
@@ -141,18 +142,16 @@ class _Chunk:
     """
 
     __slots__ = (
-        "records", "_columns", "_stacked", "_beta", "_opt", "_opt_point", "_opt_value", "_rows",
-        "_points", "_pending", "_cap",
+        "records", "_columns", "_problem", "_opt_point", "_opt_value", "_rows", "_pending", "_cap",
     )
 
     def __init__(self, problem, first_point, columns):
         self.records = []
         self._columns = columns
-        stacked = self._stacked = problem._stacked
-        self._beta = problem.beta
-        self._opt = problem.optimum
-        if self._opt is not None:
-            opt = self._opt_point = problem.point(self._opt)
+        self._problem = problem
+        stacked = problem._stacked
+        if problem.optimum is not None:
+            opt = self._opt_point = problem.point(problem.optimum)
             self._opt_value = None
             if stacked is not None and not opt._r[stacked.n_a :].any():
                 self._opt_value = float(stacked.exact(opt._r))
@@ -160,15 +159,12 @@ class _Chunk:
         row = 0 if stacked is None else first_point._r.size
         self._cap = max(1, _CHUNK_FLOATS // (n + row))
         self._rows = None if stacked is None else np.empty((self._cap, row))
-        self._points = []
         self._pending = []
 
     def add(self, point, *entry):
         pending = self._pending
         i = len(pending)
-        if self._rows is None:
-            self._points.append(point)
-        else:
+        if self._rows is not None:
             self._rows[i] = point._r
         pending.append((point.x, *entry))
         if i + 1 == self._cap:
@@ -180,9 +176,10 @@ class _Chunk:
             return
         n = len(pending)
         mu, weight, integral, build = self._columns(pending)
-        stacked = self._stacked
+        problem = self._problem
+        stacked = problem._stacked
         if stacked is None:
-            points = self._points
+            points = [problem.point(entry[0]) for entry in pending]
             f_tilde = np.array([p.smoothed(m) for p, m in zip(points, mu.tolist())])
             f_true = np.array([p.exact() for p in points])
         else:
@@ -191,7 +188,7 @@ class _Chunk:
             rows = self._rows[:n]
             f_tilde = stacked.smoothed(rows, mu[:, None])
             f_true = stacked.exact(rows)
-        if self._opt is None:
+        if problem.optimum is None:
             lyap = [math.nan] * n
         else:
             f_tilde_opt = self._opt_value
@@ -203,10 +200,9 @@ class _Chunk:
                     f_tilde_opt = stacked.smoothed(opt._r[None], mu[:, None])
             xs = np.array([entry[0] for entry in pending])
             lyap = _lyapunov(
-                xs, self._opt, weight, integral, f_tilde, self._beta, mu, f_tilde_opt
+                xs, problem.optimum, weight, integral, f_tilde, problem.beta, mu, f_tilde_opt
             ).tolist()
         self.records.extend(build(f_tilde.tolist(), f_true.tolist(), lyap))
-        self._points = []
         self._pending = []
 
 
@@ -400,7 +396,7 @@ def run_sgm(
                 break
             x = x - state.s * g
             state = next_state
-            point = point.move(x)
+            point.move(x)
         chunk.flush()
     return Trajectory(
         records=chunk.records,

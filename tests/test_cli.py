@@ -939,6 +939,58 @@ def test_outputs_that_is_not_a_string_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: outputs must be a string or null, got 5\n")
 
 
+# Each printed a name the config does not have: `lam`, without the value,
+# and `power`.
+SCHEDULE_REFUSALS = [
+    ({"name": "exp", "mu0": 1, "lambda": 1.5}, "error: lambda must be in (0, 1), got 1.5"),
+    (
+        {"name": "continuous-reciprocal", "mu0": 1, "p": -1},
+        "error: p must be finite and > 0, got -1.0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "schedule,line", SCHEDULE_REFUSALS, ids=[s["name"] for s, _ in SCHEDULE_REFUSALS]
+)
+def test_schedule_refusal_names_the_config_key(tmp_path, capsys, schedule, line):
+    cfg = write_config(tmp_path, dict(STRONG, schedule=schedule))
+    out = tmp_path / "o"
+    assert run(["solve-sgm", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == line
+    assert not out.exists()
+
+
+# Arrays of pairs were read as objects by dict(), and a string failed inside
+# dict() with a message about sequence elements.
+NON_OBJECT_SECTIONS = [
+    ("schedule", [["name", "power"], ["mu0", 1.0], ["gamma", 0.5]]),
+    ("run", [["max_steps", 3]]),
+    ("run", "ab"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,value", NON_OBJECT_SECTIONS, ids=[f"{s}={v!r}" for s, v in NON_OBJECT_SECTIONS]
+)
+def test_config_section_that_is_not_an_object_is_config_error(tmp_path, capsys, section, value):
+    cfg = write_config(tmp_path, dict(STRONG, **{section: value}))
+    out = tmp_path / "o"
+    assert run(["solve-sgm", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {section} must be a JSON object, got {value!r}"
+    assert not out.exists()
+
+
+def test_problem_past_the_array_limit_is_config_error(tmp_path, capsys):
+    # numpy refused the shape with a ValueError: a traceback and exit 1.
+    cfg = write_config(tmp_path, dict(STRONG, problem=dict(STRONG["problem"], n_A=10**400)))
+    out = tmp_path / "o"
+    assert run(["generate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n_x * (n_A + n_C) must be below 2**60\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

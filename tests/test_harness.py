@@ -51,6 +51,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(smoothing="moreau")
 
+    @pytest.mark.parametrize("section", ["schedule", "run"])
+    def test_section_that_is_not_an_object_is_refused(self, section):
+        # A list reached .get and raised AttributeError.
+        with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+            small_config(**{section: [["name", "power"]]})
+
+    def test_from_dict_copies_its_sections(self):
+        raw = small_config().to_dict()
+        cfg = ExperimentConfig.from_dict(raw)
+        raw["schedule"]["gamma"] = 2.0
+        raw["run"]["max_steps"] = 3
+        assert cfg.schedule["gamma"] == 0.5 and cfg.run == {}
+
     def test_from_dict_requires_problem_block(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"schedule": {"name": "power"}})

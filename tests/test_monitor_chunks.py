@@ -192,9 +192,18 @@ def test_records_filling_whole_chunks(name):
         assert r.f_true == problem.true_value(r.x)
 
 
-@pytest.mark.parametrize("smoothing", ["sqrt_l2", "huber_l2"])
-def test_rk45_samples_equal_single_point_values(smoothing):
-    problem = l1_problem(smoothing)
+# The user part's stage points move in place as the stacked ones do; its
+# chunk forms a point at each queued x when it flushes.
+RK45_PROBLEMS = {
+    "sqrt_l2": PROBLEMS["l1-sqrt_l2"],
+    "huber_l2": PROBLEMS["l1-huber_l2"],
+    "custom-part": custom_part_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RK45_PROBLEMS))
+def test_rk45_samples_equal_single_point_values(name):
+    problem = RK45_PROBLEMS[name]()
     design = ReciprocalMu(1.0, 1.0, t0=1.0)
     x0 = np.full(problem.input_dim, 3.0)
     samples = integrate_rk45(problem, design, x0, 1.0, 1.5, 1e-6, 1e-8)

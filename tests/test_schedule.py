@@ -73,6 +73,8 @@ SCHEDULE_ARGS = {
 NUMERIC_ARGS = [
     (cls, name) for cls, args in SCHEDULE_ARGS.items() for name in args if name != "mu_of_t"
 ]
+# A refusal names a parameter as the config and ``describe`` do.
+CONFIG_NAMES = {(ExpDecay, "lam"): "lambda", (ReciprocalMu, "power"): "p"}
 
 
 class TestVariants:
@@ -96,13 +98,28 @@ class TestVariants:
         with pytest.raises(InvalidParameterError):
             ExpDecay(mu0=1.0, lam=1.0)
 
+    @pytest.mark.parametrize(
+        "sched,message",
+        [
+            (lambda: ExpDecay(mu0=1.0, lam=1.5), "lambda must be in (0, 1), got 1.5"),
+            (lambda: ReciprocalMu(1.0, -1.0), "p must be finite and > 0, got -1.0"),
+        ],
+        ids=["ExpDecay", "ReciprocalMu"],
+    )
+    def test_refusal_names_the_config_key_and_value(self, sched, message):
+        # ExpDecay named its field lam and left out the value; ReciprocalMu
+        # named power, where the config, the docstring and describe say p.
+        with pytest.raises(InvalidParameterError) as info:
+            sched()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize(
         "cls,name", NUMERIC_ARGS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_ARGS]
     )
     def test_non_finite_parameters_are_refused(self, cls, name, value):
         # A schedule must not run at mu = inf or t = inf.
-        with pytest.raises(InvalidParameterError, match=name):
+        with pytest.raises(InvalidParameterError, match=f"^{CONFIG_NAMES.get((cls, name), name)} "):
             cls(**dict(SCHEDULE_ARGS[cls], **{name: value}))
 
     def test_mu_non_increasing_across_variants(self):

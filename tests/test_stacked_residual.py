@@ -115,18 +115,24 @@ def test_moved_point_leaves_earlier_gradients_alone(smoothing):
     assert moved.exact() == fresh.exact()
 
 
-def test_moving_a_point_without_a_stack_builds_a_fresh_one():
-    # A run's monitor chunk keeps such points, so a move must not change
-    # one. A user SmoothPart has no residual to stack.
+def test_moving_a_point_without_a_stack_moves_it_in_place():
+    # As on a stacked problem, a run moves its one point; a user SmoothPart
+    # has no residual to stack, so the move only re-points x.
     f = SmoothPart(
         value=lambda x: float(x @ x), grad=lambda x: 2.0 * x, sigma=2.0, lipschitz=2.0, input_dim=3
     )
     p = CompositeProblem(f=f, h=sqrt_l2_approx(3))
+    x1 = np.array([1.0, -2.0, 0.5])
     point = p.point(np.zeros(3))
-    moved = point.move(np.ones(3))
-    assert moved is not point
-    assert point.exact() == p.true_value(np.zeros(3))
-    assert moved.exact() == p.true_value(np.ones(3))
+    g0 = point.grad(0.4)
+    kept = g0.copy()
+    moved = point.move(x1)
+    assert moved is point and moved.x is x1
+    assert np.array_equal(g0, kept)
+    fresh = p.point(x1)
+    assert np.array_equal(moved.grad(0.4), fresh.grad(0.4))
+    assert moved.smoothed(0.4) == fresh.smoothed(0.4)
+    assert moved.exact() == fresh.exact() == p.true_value(x1)
 
 
 def test_move_checks_the_shape():
